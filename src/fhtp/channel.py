@@ -8,6 +8,7 @@ that SINR in bits/s/Hz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,9 @@ class ChannelModel:
         object.__setattr__(self, "slot_duration", float(self.slot_duration))
 
         n = len(noise)
+        values = (self.slot_duration, *noise, *(g for row in gains for g in row), *(p for s in power_sets for p in s))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("gains, noise, power levels and slot duration must be finite")
         if n == 0:
             raise ValueError("channel needs at least one pair")
         if len(gains) != n or any(len(row) != n for row in gains):
@@ -111,9 +115,21 @@ class ChannelModel:
         sv = np.asarray(s, dtype=float)
         if sv.shape != (self.num_pairs,):
             raise ValueError(f"power vector has shape {sv.shape}, expected ({self.num_pairs},)")
-        received = self._gain_arr * sv[:, None]  # entry (m, n): power of Tx m at Rx n
-        desired = np.diagonal(received).copy()
-        interference = received.sum(axis=0) - desired
+        return self.capacity_matrix(sv[None])[0]
+
+    def capacity_matrix(self, powers) -> np.ndarray:
+        """One-slot capacities of many power vectors: row k is ``capacity_vector(powers[k])``.
+
+        The interference sum runs over transmitters in index order for every
+        row, so a row is bitwise equal whether it is computed alone or in a
+        batch.
+        """
+        sv = np.asarray(powers, dtype=float)
+        if sv.ndim != 2 or sv.shape[1] != self.num_pairs:
+            raise ValueError(f"power matrix has shape {sv.shape}, expected (K, {self.num_pairs})")
+        received = sv[:, :, None] * self._gain_arr  # entry (k, m, n): power of Tx m at Rx n
+        desired = np.diagonal(received, axis1=1, axis2=2)
+        interference = received.sum(axis=1) - desired
         return np.log2(1.0 + desired / (self._noise_arr + interference))
 
     def interference_free_rate(self, n: int) -> float:

@@ -97,6 +97,7 @@ def _stats_payload(stats) -> dict:
         "pruned": stats.pruned_nodes,
         "ebf": stats.ebf,
         "wall_ms": stats.wall_time * 1e3,
+        "refined_size": stats.refined_size,
     }
 
 

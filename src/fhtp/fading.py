@@ -18,7 +18,6 @@ import numpy as np
 from .channel import ChannelModel
 from .errors import InfeasibleError, SizeLimitError
 from .policy import check_achievability
-from .region import refined_power_set
 from .solver import SolverOptions
 
 
@@ -108,16 +107,15 @@ def _run_trial(args) -> tuple[str, float, float, float, int]:
     rng = _trial_rng(config.seed, index)
     channel = sample_channel(config, rng)
     try:
-        refined_size = len(refined_power_set(channel))
         report = check_achievability(
             channel, config.target_rate, config.horizon, cutoff=True, options=options
         )
     except (InfeasibleError, SizeLimitError):
         return ("failed", 0.0, 0.0, 0.0, 0)
-    if not report.achievable:
-        return ("unachievable", 0.0, 0.0, 0.0, refined_size)
     s = report.stats
-    return ("solved", s.ebf, float(s.expanded_nodes), s.wall_time * 1e3, refined_size)
+    if not report.achievable:
+        return ("unachievable", 0.0, 0.0, 0.0, s.refined_size)
+    return ("solved", s.ebf, float(s.expanded_nodes), s.wall_time * 1e3, s.refined_size)
 
 
 def ebf_experiment(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelModel, PowerVector
 from .errors import SizeLimitError
-from .region import enumerate_power_vectors, refined_power_set
+from .region import capacity_set, refined_power_set
 from .solver import GOAL_EPS_FACTOR
 
 NODE_GUARD = 10**7
@@ -29,13 +29,8 @@ class OracleResult:
 
 def _action_table(channel: ChannelModel, use_refined: bool):
     tau = channel.slot_duration
-    if use_refined:
-        entries = refined_power_set(channel).entries
-        return [(e.power, tuple(tau * r for r in e.rate)) for e in entries]
-    powers = enumerate_power_vectors(channel)
-    return [
-        (s, tuple(tau * float(r) for r in channel.capacity_vector(s))) for s in powers
-    ]
+    points = refined_power_set(channel).entries if use_refined else capacity_set(channel)
+    return [(p.power, tuple(tau * r for r in p.rate)) for p in points]
 
 
 def brute_force_min_time(

@@ -41,7 +41,7 @@ class Policy:
 @dataclass
 class VerificationReport:
     ok: bool
-    check: str | None = None  # 'capacity' | 'average' | 'nonnegative'
+    check: str | None = None  # 'finite' | 'capacity' | 'average' | 'nonnegative'
     slot: int | None = None  # 1-based slot of the first violation
     component: int | None = None
     detail: str = ""
@@ -110,11 +110,23 @@ def verify_policy(
 ) -> VerificationReport:
     """Check a policy against its contract and report the first violation.
 
-    Checks, in order: every slot rate within the capacity of its power vector
-    (plus a small absolute slack for subtraction chains), the average rate
-    matching the target to ``rel_tol``, and slot rates being nonnegative.
+    Checks, in order: every slot rate and target component being finite,
+    every slot rate within the capacity of its power vector (plus a small
+    absolute slack for subtraction chains), the average rate matching the
+    target to ``rel_tol``, and slot rates being nonnegative.
     """
     n = channel.num_pairs
+    for t, (rate, _) in enumerate(policy.pairs):
+        for j in range(n):
+            if not math.isfinite(rate[j]):
+                return VerificationReport(
+                    ok=False, check="finite", slot=t + 1, component=j, detail=f"rate {rate[j]!r}"
+                )
+    for j in range(n):
+        if not math.isfinite(policy.target[j]):
+            return VerificationReport(
+                ok=False, check="finite", component=j, detail=f"target {policy.target[j]!r}"
+            )
     for t, (rate, power) in enumerate(policy.pairs):
         cap = channel.capacity_vector(power)
         for j in range(n):

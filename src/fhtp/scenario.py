@@ -17,6 +17,7 @@ Field reference (all required unless noted):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,16 @@ def _require(doc: dict, name: str):
     return doc[name]
 
 
+def _is_number(x) -> bool:
+    """A JSON number that is finite; ``json`` also reads NaN and Infinity."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _positive_int(doc: dict, name: str) -> int:
     value = _require(doc, name)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -67,8 +78,8 @@ def _positive_int(doc: dict, name: str) -> int:
 
 def _positive_real(doc: dict, name: str) -> float:
     value = _require(doc, name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ScenarioError(f"{name}: expected a positive number, got {value!r}")
+    if not _is_number(value) or value <= 0:
+        raise ScenarioError(f"{name}: expected a positive finite number, got {value!r}")
     return float(value)
 
 
@@ -78,8 +89,8 @@ def _real_vector(doc: dict, name: str, n: int, minimum: float, strict: bool) -> 
         raise ScenarioError(f"{name}: expected an array of {n} numbers")
     out = []
     for i, x in enumerate(value):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ScenarioError(f"{name}[{i}]: expected a number, got {x!r}")
+        if not _is_number(x):
+            raise ScenarioError(f"{name}[{i}]: expected a finite number, got {x!r}")
         if x < minimum or (strict and x == minimum):
             bound = f"> {minimum}" if strict else f">= {minimum}"
             raise ScenarioError(f"{name}[{i}]: must be {bound}, got {x!r}")
@@ -102,8 +113,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(levels, list) or not levels:
             raise ScenarioError(f"power_sets[{i}]: expected a nonempty array")
         for k, p in enumerate(levels):
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 0:
-                raise ScenarioError(f"power_sets[{i}][{k}]: must be >= 0, got {p!r}")
+            if not _is_number(p) or p < 0:
+                raise ScenarioError(f"power_sets[{i}][{k}]: must be finite and >= 0, got {p!r}")
         levels = tuple(sorted({float(p) for p in levels}))
         if 0.0 not in levels:
             raise ScenarioError(f"power_sets[{i}]: must include the level 0")
@@ -119,8 +130,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(row, list) or len(row) != n:
             raise ScenarioError(f"gains[{m}]: expected {n} entries, got {len(row) if isinstance(row, list) else type(row).__name__}")
         for k, g in enumerate(row):
-            if not isinstance(g, (int, float)) or isinstance(g, bool) or g < 0:
-                raise ScenarioError(f"gains[{m}][{k}]: must be >= 0, got {g!r}")
+            if not _is_number(g) or g < 0:
+                raise ScenarioError(f"gains[{m}][{k}]: must be finite and >= 0, got {g!r}")
         gains.append(tuple(float(g) for g in row))
     for m in range(n):
         if gains[m][m] <= 0:

@@ -48,6 +48,7 @@ class SearchStats:
     pruned_nodes: int = 0
     ebf: float = 0.0
     wall_time: float = 0.0
+    refined_size: int = 0  # |F|, the actions searched; 0 when q0 was already drained
 
 
 @dataclass
@@ -90,15 +91,32 @@ def queue_update(q, c, tau: float) -> np.ndarray:
     return np.maximum(np.asarray(q, dtype=float) - tau * np.asarray(c, dtype=float), 0.0)
 
 
-def _peak_rates(channel: ChannelModel) -> list[float]:
-    # 0.0 marks a pair that can never transmit; callers decide if that matters
-    rates = []
-    for n in range(channel.num_pairs):
-        if channel.max_power(n) <= 0.0:
-            rates.append(0.0)
-        else:
-            rates.append(channel.interference_free_rate(n))
-    return rates
+def _slot_bound(channel: ChannelModel, eps: float):
+    """`heuristic` for the backlog beyond drain tolerance ``eps``, as a function of the queue.
+
+    A pair counts as drained once its backlog is at most ``eps``, so only
+    q_n - eps of it bounds the slots still needed.
+    """
+    denom = [
+        channel.slot_duration * channel.interference_free_rate(n) if channel.max_power(n) > 0.0 else 0.0
+        for n in range(channel.num_pairs)
+    ]
+
+    def bound(queue) -> float:
+        best = 0.0
+        for n, dn in enumerate(denom):
+            excess = queue[n] - eps
+            if excess > 0.0:
+                if dn <= 0.0:
+                    raise InfeasibleError(
+                        f"pair {n} has backlog but no positive power level; queue can never drain"
+                    )
+                v = excess / dn
+                if v > best:
+                    best = v
+        return best
+
+    return bound
 
 
 def heuristic(channel: ChannelModel, q) -> float:
@@ -107,20 +125,10 @@ def heuristic(channel: ChannelModel, q) -> float:
     Every pair n can move at most tau * interference_free_rate(n) bits per
     slot, whatever anyone else does, so the maximum of q_n over that quantity
     never exceeds the true number of slots still needed. Zero exactly when the
-    queue is drained.
+    queue is drained. `solve` runs the same bound on the backlog beyond its
+    drain tolerance, rounded up.
     """
-    qv = np.asarray(q, dtype=float)
-    tau = channel.slot_duration
-    best = 0.0
-    for n, rate in enumerate(_peak_rates(channel)):
-        if qv[n] <= 0.0:
-            continue
-        if rate <= 0.0:
-            raise InfeasibleError(
-                f"pair {n} has backlog but no positive power level; queue can never drain"
-            )
-        best = max(best, float(qv[n]) / (tau * rate))
-    return best
+    return _slot_bound(channel, 0.0)(np.asarray(q, dtype=float).tolist())
 
 
 def dominates(a, b) -> bool:
@@ -219,16 +227,13 @@ def solve(
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (channel.num_pairs,):
         raise ValueError(f"queue has shape {q0.shape}, expected ({channel.num_pairs},)")
-    if np.any(q0 < 0):
-        raise ValueError("queue lengths must be nonnegative")
+    if not np.all(np.isfinite(q0)) or np.any(q0 < 0):
+        raise ValueError("queue lengths must be finite and nonnegative")
 
     eps = opts.goal_eps_factor * max(1.0, float(np.max(q0)))
-    peak = _peak_rates(channel)
-    for n in range(channel.num_pairs):
-        if q0[n] > eps and peak[n] <= 0.0:
-            raise InfeasibleError(
-                f"pair {n} has backlog but no positive power level; queue can never drain"
-            )
+    bound = _slot_bound(channel, eps)
+    q0_t = tuple(float(x) for x in q0)
+    h0 = bound(q0_t)  # raises if a pair with backlog can never transmit
 
     stats = SearchStats()
     if bool(np.all(q0 <= eps)):
@@ -239,10 +244,10 @@ def solve(
         refined = refined_power_set(channel)
     actions = refined.entries
     num_actions = len(actions)
+    stats.refined_size = num_actions
     dim = channel.num_pairs
     tau = channel.slot_duration
     taucap = [tuple(tau * r for r in e.rate) for e in actions]
-    denom = [tau * r if r > 0.0 else 0.0 for r in peak]
 
     use_h = opts.use_heuristic
     use_ceil = opts.integer_heuristic
@@ -250,19 +255,12 @@ def solve(
     def h_of(queue) -> float:
         if not use_h:
             return 0.0
-        best = 0.0
-        for j in range(dim):
-            qj = queue[j]
-            if qj > 0.0 and denom[j] > 0.0:
-                v = qj / denom[j]
-                if v > best:
-                    best = v
+        best = bound(queue)
         if use_ceil and best > 0.0:
             return float(math.ceil(best - _CEIL_GUARD))
         return best
 
-    q0_t = tuple(float(x) for x in q0)
-    hard_cap = _runaway_cap(opts, heuristic(channel, q0), dim)
+    hard_cap = _runaway_cap(opts, h0, dim)
 
     root = SearchNode(
         counts=(0,) * num_actions,

@@ -30,7 +30,12 @@ from fhtp import (
     solve,
     verify_policy,
 )
-from .conftest import random_channel
+from fhtp.solver import GOAL_EPS_FACTOR
+
+from .conftest import ORACLE_CAP, random_channel
+
+TOLERANCE_EDGE_SEED = 20261017
+TOLERANCE_EDGE_SIZE = 400
 
 PUBLISHED_ACTIONS = [
     (2.0, 0.0, 0.0),
@@ -138,6 +143,33 @@ def test_criterion_3_solver_matches_oracle(corpus):
         ok,
         f"optimality on {len(corpus)} random instances, pruning on and off: "
         f"{len(corpus) - mismatches}/{len(corpus)} match the oracle",
+    )
+
+
+def test_criterion_3_tolerance_edge_matches_oracle():
+    # backlogs that k refined slots drain exactly, plus 0.3-0.99 of the drain
+    # tolerance: the goal test counts them drained after those k slots, so a
+    # bound that ignores the tolerance overestimates by one slot
+    rng = np.random.default_rng(TOLERANCE_EDGE_SEED)
+    mismatches = 0
+    for _ in range(TOLERANCE_EDGE_SIZE):
+        channel = random_channel(rng)
+        refined = refined_power_set(channel)
+        picks = rng.integers(0, len(refined), int(rng.integers(1, ORACLE_CAP + 1)))
+        exact = channel.slot_duration * np.sum([refined.entries[i].rate for i in picks], axis=0)
+        eps = GOAL_EPS_FACTOR * max(1.0, float(np.max(exact)))
+        q0 = exact + rng.uniform(0.3, 0.99, channel.num_pairs) * eps
+        oracle = brute_force_min_time(channel, q0, ORACLE_CAP).p_star
+        with_pruning = solve(channel, q0, refined=refined).p_star
+        without = solve(channel, q0, SolverOptions(use_pruning=False), refined=refined).p_star
+        if oracle is None or with_pruning != oracle or without != oracle:
+            mismatches += 1
+    ok = mismatches == 0
+    _report(
+        3,
+        ok,
+        f"optimality at the drain tolerance, pruning on and off: "
+        f"{TOLERANCE_EDGE_SIZE - mismatches}/{TOLERANCE_EDGE_SIZE} match the oracle",
     )
 
 

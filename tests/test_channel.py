@@ -78,6 +78,14 @@ def test_validation_rejects_bad_models():
         ChannelModel(gains=((1.0,),), noise=(0.1,), power_sets=((1.0, 2.0),))
     with pytest.raises(ValueError):
         ChannelModel(gains=((1.0, 0.2),), noise=(0.1,), power_sets=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(gains=((float("nan"),),), noise=(0.1,), power_sets=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(gains=((1.0,),), noise=(float("inf"),), power_sets=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(gains=((1.0,),), noise=(0.1,), power_sets=((0.0, float("inf")),))
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(gains=((1.0,),), noise=(0.1,), power_sets=((0.0, 1.0),), slot_duration=float("nan"))
 
 
 @given(

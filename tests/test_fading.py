@@ -8,8 +8,10 @@ from fhtp import (
     SolverOptions,
     ebf_experiment,
     nakagami_power_gain,
+    refined_power_set,
     sample_channel,
 )
+from fhtp.fading import _trial_rng
 
 SMALL = dict(trials=40, seed=1234)
 
@@ -82,6 +84,16 @@ def test_experiment_counts_and_bounds():
     assert stats.avg_ebf <= stats.max_refined_size
     assert stats.achievable_fraction == stats.solved / stats.trials
     assert math.isfinite(stats.avg_wall_ms)
+
+
+def test_max_refined_size_is_the_largest_trial_frontier():
+    # the size comes from the solve's own stats, not from a second build
+    config = FadingConfig(m=3.0, **SMALL)
+    sizes = [
+        len(refined_power_set(sample_channel(config, _trial_rng(config.seed, i))))
+        for i in range(config.trials)
+    ]
+    assert ebf_experiment(config).max_refined_size == max(sizes)
 
 
 def test_ebf_accounting_matches_plain_solve():

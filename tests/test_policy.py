@@ -116,6 +116,17 @@ def test_verify_policy_flags_average_miss(ex1):
     assert report.component == 2
 
 
+def test_verify_policy_flags_non_finite_values(ex1):
+    good = derive_policy(replay(ex1, [5.0, 5.0, 5.0], PUBLISHED_ACTIONS), 5, ex1, [1.0, 1.0, 1.0])
+    pairs = list(good.pairs)
+    pairs[2] = ((pairs[2][0][0], float("nan"), pairs[2][0][2]), pairs[2][1])
+    report = verify_policy(ex1, type(good)(pairs=tuple(pairs), horizon=5, target=good.target))
+    assert (report.ok, report.check, report.slot, report.component) == (False, "finite", 3, 1)
+    nan_target = type(good)(pairs=good.pairs, horizon=5, target=(1.0, 1.0, float("nan")))
+    report = verify_policy(ex1, nan_target)
+    assert (report.ok, report.check, report.component) == (False, "finite", 2)
+
+
 def test_check_achievability_example1(ex1):
     report = check_achievability(ex1, [1.0, 1.0, 1.0], 5)
     assert report.achievable

@@ -1,3 +1,7 @@
+import itertools
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +16,77 @@ from fhtp import (
     refined_power_set,
     weak_pareto_frontier,
 )
+
+from .conftest import CORPUS_SEED, random_channel
+
+# --- reference implementations --------------------------------------------
+# The pure-Python region layer the vectorised one replaced. It is quadratic
+# and slow, and it is the definition the fast code must match bit for bit.
+
+
+def _key(point) -> tuple[float, ...]:
+    return tuple(float(x) for x in point)
+
+
+def reference_capacity_vector(channel: ChannelModel, s) -> np.ndarray:
+    gains = np.array(channel.gains, dtype=float)
+    sv = np.asarray(s, dtype=float)
+    received = gains * sv[:, None]
+    desired = np.diagonal(received).copy()
+    interference = received.sum(axis=0) - desired
+    return np.log2(1.0 + desired / (np.array(channel.noise) + interference))
+
+
+def reference_weak_frontier(points) -> list:
+    keys = [_key(p) for p in points]
+    dim = len(keys[0])
+    return [
+        points[i]
+        for i, b in enumerate(keys)
+        if not any(all(a[j] > b[j] for j in range(dim)) for a in keys)
+    ]
+
+
+def reference_frontier(points) -> list:
+    keys = [_key(p) for p in points]
+    dim = len(keys[0])
+    seen: set[tuple[float, ...]] = set()
+    reps = []
+    for i, k in enumerate(keys):
+        if k not in seen:
+            seen.add(k)
+            reps.append(i)
+    out = []
+    for i in reps:
+        b = keys[i]
+        if not any(a != b and all(a[j] >= b[j] for j in range(dim)) for a in (keys[r] for r in reps)):
+            out.append(points[i])
+    return out
+
+
+def reference_refined(channel: ChannelModel) -> list[tuple]:
+    """(power, rate) entries of the refined set, by per-vector capacity and linear scans."""
+    points = [
+        (s, _key(reference_capacity_vector(channel, s)))
+        for s in itertools.product(*channel.power_sets)
+    ]
+    entries = []
+    for rate in reference_frontier([r for _, r in points]):
+        candidates = [s for s, r in points if r == rate]
+        entries.append((min(candidates, key=lambda pw: (sum(pw), pw)), rate))
+    return entries
+
+
+def entries_of(refined) -> list[tuple]:
+    return [(e.power, e.rate) for e in refined.entries]
+
+
+def channel_of(rng: np.random.Generator, pairs: int, levels) -> ChannelModel:
+    return ChannelModel(
+        gains=tuple(tuple(float(g) for g in row) for row in rng.uniform(0.05, 1.0, (pairs, pairs))),
+        noise=tuple(float(w) for w in rng.uniform(0.05, 0.3, pairs)),
+        power_sets=(tuple(levels),) * pairs,
+    )
 
 point_sets = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
@@ -178,3 +253,68 @@ def test_weak_frontier_preserves_order_and_duplicates(points):
                 break
         else:
             pytest.fail("weak frontier is not an ordered subsequence of the input")
+
+
+@given(point_sets)
+def test_frontiers_match_reference(points):
+    assert pareto_frontier(points) == reference_frontier(points)
+    assert weak_pareto_frontier(points) == reference_weak_frontier(points)
+
+
+def test_frontiers_match_reference_across_blocks():
+    # more points than one dominance tile, with many duplicates and equal sums
+    rng = np.random.default_rng(5)
+    points = [tuple(int(v) for v in row) for row in rng.integers(0, 12, (700, 3))]
+    points += [tuple(float(v) for v in row) for row in rng.uniform(0.0, 12.0, (300, 3))]
+    assert pareto_frontier(points) == reference_frontier(points)
+    assert weak_pareto_frontier(points) == reference_weak_frontier(points)
+
+
+def test_frontier_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="finite"):
+        pareto_frontier([(1.0, float("nan")), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        weak_pareto_frontier([(1.0, float("inf"))])
+
+
+def test_capacity_vector_is_a_matrix_row():
+    rng = np.random.default_rng(CORPUS_SEED)
+    for _ in range(50):
+        channel = random_channel(rng)
+        powers = enumerate_power_vectors(channel)
+        matrix = channel.capacity_matrix(powers)
+        for s, row in zip(powers, matrix):
+            single = channel.capacity_vector(s)
+            assert single.tolist() == row.tolist()
+            assert single.tolist() == channel.capacity_matrix([s])[0].tolist()
+            assert single.tolist() == reference_capacity_vector(channel, s).tolist()
+
+
+def test_capacity_matrix_rejects_wrong_shape(ex1):
+    with pytest.raises(ValueError):
+        ex1.capacity_matrix([(0.0, 2.0)])
+    with pytest.raises(ValueError):
+        ex1.capacity_matrix((0.0, 2.0, 2.0))
+
+
+def test_refined_set_matches_reference_on_corpus_channels(corpus, ex1, ex2):
+    for channel in [ex1, ex2] + [inst.channel for inst in corpus]:
+        assert entries_of(refined_power_set(channel)) == reference_refined(channel)
+
+
+@pytest.mark.parametrize("pairs", [5, 6])
+def test_refined_set_matches_reference_many_pairs(pairs):
+    rng = np.random.default_rng(pairs)
+    channel = channel_of(rng, pairs, (0.0, 1.0, 2.0))
+    assert entries_of(refined_power_set(channel)) == reference_refined(channel)
+
+
+def test_refined_set_seven_pairs_three_levels_is_fast():
+    channel = channel_of(np.random.default_rng(7), 7, (0.0, 1.0, 2.0))
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        refined = refined_power_set(channel)
+        best = min(best, time.perf_counter() - started)
+    assert 0 < len(refined) <= 3**7
+    assert best < 0.1

@@ -131,7 +131,8 @@ def test_cli_solve_payload_shape(capsys):
     assert payload["p_star"] == 5
     assert len(payload["actions"]) == 5
     assert len(payload["queue_trajectory"]) == 6
-    assert set(payload["stats"]) == {"expanded", "generated", "pruned", "ebf", "wall_ms"}
+    assert set(payload["stats"]) == {"expanded", "generated", "pruned", "ebf", "wall_ms", "refined_size"}
+    assert payload["stats"]["refined_size"] == 7
 
 
 def test_cli_region_csv(capsys):
@@ -179,6 +180,28 @@ def test_cli_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", str(bad)]) == 65
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("gains", 1, 2), float("nan")),
+        (("target_rate", 1), float("inf")),
+        (("power_sets", 0, 1), float("inf")),
+        (("slot_duration",), float("nan")),
+    ],
+)
+def test_cli_rejects_non_finite_values(tmp_path, capsys, path, value):
+    doc = json.loads(EXAMPLE1)
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    scenario = tmp_path / "non_finite.json"
+    scenario.write_text(json.dumps(doc))  # NaN / Infinity tokens, which json reads back
+    assert main(["check", str(scenario)]) == 65
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_missing_file(capsys):

@@ -88,6 +88,7 @@ def test_solve_example1(ex1):
     solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
     assert solution.p_star == 5
     assert len(solution.actions) == 5
+    assert solution.stats.refined_size == len(refined_power_set(ex1)) == 7
     # the returned schedule really drains the backlog
     q = np.array([5.0, 5.0, 5.0])
     for s in solution.actions:
@@ -121,6 +122,10 @@ def test_solve_cutoff_certificate(ex2):
 def test_solve_rejects_negative_queue(ex1):
     with pytest.raises(ValueError):
         solve(ex1, [-1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        solve(ex1, [float("nan"), 1.0, 1.0])
+    with pytest.raises(ValueError):
+        solve(ex1, [float("inf"), 1.0, 1.0])
 
 
 def test_solve_infeasible_degenerate_pair():
