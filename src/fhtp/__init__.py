@@ -2,9 +2,9 @@
 
 Decides whether an average-rate target is reachable within a fixed number of
 slots and, when it is, produces the per-slot rate and power schedule. The
-workhorse is best-first search over residual-backlog states with an
-interference-free admissible heuristic, restricted to Pareto-optimal power
-vectors, with dominance pruning of the frontier.
+workhorse is A* over action multisets with an interference-free admissible
+heuristic, restricted to Pareto-optimal power vectors; orderings of one
+multiset reach the same residual backlog and are searched once.
 """
 
 from .channel import ChannelModel, PowerVector
@@ -42,11 +42,9 @@ from .region import (
 )
 from .scenario import Scenario, parse_scenario, scenario_from_dict, scenario_to_dict
 from .solver import (
-    SearchNode,
     SearchStats,
     Solution,
     SolverOptions,
-    dominates,
     effective_branching_factor,
     heuristic,
     queue_update,
@@ -70,7 +68,6 @@ __all__ = [
     "RefinedPowerSet",
     "Scenario",
     "ScenarioError",
-    "SearchNode",
     "SearchStats",
     "SizeLimitError",
     "Solution",
@@ -80,7 +77,6 @@ __all__ = [
     "capacity_set",
     "check_achievability",
     "derive_policy",
-    "dominates",
     "ebf_experiment",
     "effective_branching_factor",
     "enumerate_power_vectors",

@@ -261,7 +261,10 @@ def _cmd_montecarlo(args) -> int:
         rows.append(ebf_experiment(config, jobs=args.jobs))
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["m", "trials", "solved", "avg_ebf", "avg_expanded", "avg_wall_ms"])
+    writer.writerow(
+        ["m", "trials", "solved", "avg_ebf", "avg_expanded", "avg_wall_ms"]
+        + ["unachievable", "failed", "achievable_fraction", "max_refined_size"]
+    )
     for r in rows:
         writer.writerow(
             [
@@ -271,6 +274,10 @@ def _cmd_montecarlo(args) -> int:
                 f"{r.avg_ebf:.6g}",
                 f"{r.avg_expanded:.6g}",
                 f"{r.avg_wall_ms:.6g}",
+                r.unachievable,
+                r.failed,
+                f"{r.achievable_fraction:.6g}",
+                r.max_refined_size,
             ]
         )
     _emit(buf.getvalue(), args.out)

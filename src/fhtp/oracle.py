@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelModel, PowerVector
 from .errors import SizeLimitError
 from .region import capacity_set, refined_power_set
-from .solver import GOAL_EPS_FACTOR
+from .solver import checked_backlog
 
 NODE_GUARD = 10**7
 
@@ -45,13 +43,11 @@ def brute_force_min_time(
     Deepens one slot at a time, so the first sequence found is minimal.
     Refuses instances where the full tree would pass the node guard.
     """
-    q0 = np.asarray(q0, dtype=float)
-    if np.any(q0 < 0):
-        raise ValueError("queue lengths must be nonnegative")
+    q0, tolerance = checked_backlog(channel, q0)
     if depth_cap < 0:
         raise ValueError("depth cap must be nonnegative")
     if goal_eps is None:
-        goal_eps = GOAL_EPS_FACTOR * max(1.0, float(np.max(q0)))
+        goal_eps = tolerance
 
     actions = _action_table(channel, use_refined)
     if len(actions) ** max(depth_cap, 1) > NODE_GUARD:

@@ -11,13 +11,13 @@ plainly achievable, which is the point of the comparison report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelModel, PowerVector
 from .region import refined_power_set
-from .solver import SearchStats, Solution, SolverOptions, queue_update, solve
+from .solver import SearchStats, Solution, SolverOptions, checked_backlog, queue_update, solve
 
 AVERAGE_RTOL = 1e-6
 CAPACITY_SLACK = 1e-9
@@ -74,6 +74,16 @@ class ComparisonReport:
 
 def _zero_power(channel: ChannelModel) -> PowerVector:
     return (0.0,) * channel.num_pairs
+
+
+def _target_backlog(channel: ChannelModel, mu, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Target mu as an array, and the backlog tau*horizon*mu that meeting it drains."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu < 0):
+        raise ValueError("target rate must be componentwise nonnegative")
+    return mu, channel.slot_duration * horizon * mu
 
 
 def derive_policy(solution: Solution, horizon: int, channel: ChannelModel, mu) -> Policy:
@@ -175,23 +185,10 @@ def check_achievability(
     ``cutoff`` the search stops as soon as it can certify the answer exceeds
     the horizon, without computing the exact minimum.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
-        raise ValueError("target rate must be componentwise nonnegative")
-    base = options or SolverOptions()
-    opts = SolverOptions(
-        depth_cap=horizon if cutoff else None,
-        horizon=horizon,
-        goal_eps_factor=base.goal_eps_factor,
-        use_pruning=base.use_pruning,
-        use_heuristic=base.use_heuristic,
-        integer_heuristic=base.integer_heuristic,
-        hard_cap=base.hard_cap,
-        trace_expanded=base.trace_expanded,
+    mu, q0 = _target_backlog(channel, mu, horizon)
+    opts = replace(
+        options or SolverOptions(), depth_cap=horizon if cutoff else None, horizon=horizon
     )
-    q0 = channel.slot_duration * horizon * mu
     solution = solve(channel, q0, opts)
     if solution.p_star is None:
         bound = max(horizon + 1, math.ceil(solution.min_f_bound - 1e-9))
@@ -221,14 +218,12 @@ def max_weight_policy(channel: ChannelModel, mu, horizon: int) -> MaxWeightResul
     Each slot transmits with the refined power vector whose capacity has the
     largest inner product with the residual queue (ties go to the
     lexicographically smallest power vector), at rates clipped to what the
-    queue still holds. Succeeds iff the backlog is drained by the last slot.
+    queue still holds. Succeeds iff the backlog is drained, to the solver's
+    drain tolerance, by the last slot.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    mu = np.asarray(mu, dtype=float)
+    mu, q0 = _target_backlog(channel, mu, horizon)
+    q0, eps = checked_backlog(channel, q0)
     tau = channel.slot_duration
-    q0 = tau * horizon * mu
-    eps = 1e-9 * max(1.0, float(np.max(q0))) if q0.size else 0.0
     refined = refined_power_set(channel)
 
     queue = q0.copy()

@@ -33,11 +33,7 @@ class SolverOptions:
 
     depth_cap: int | None = None  # certify "needs more than this many slots" and stop
     horizon: int | None = None  # scheduling horizon, feeds the runaway guard
-    goal_eps_factor: float = GOAL_EPS_FACTOR
-    use_pruning: bool = True  # drop frontier nodes dominated by an expanded node
     use_heuristic: bool = True  # False degrades to uniform-cost search
-    integer_heuristic: bool = True  # ceil the slot bound (true residuals are integers)
-    hard_cap: int | None = None  # overrides the automatic runaway depth guard
     trace_expanded: bool = False  # record the queue of every expanded node
 
 
@@ -45,7 +41,7 @@ class SolverOptions:
 class SearchStats:
     expanded_nodes: int = 0
     generated_nodes: int = 0
-    pruned_nodes: int = 0
+    pruned_nodes: int = 0  # children dropped: their (depth, action multiset) was already generated
     ebf: float = 0.0
     wall_time: float = 0.0
     refined_size: int = 0  # |F|, the actions searched; 0 when q0 was already drained
@@ -69,21 +65,19 @@ class Solution:
     expanded_queues: list[np.ndarray] | None = None
 
 
-class SearchNode:
+class _Node:
     """One search node: a residual queue plus the action multiset that led to it."""
 
-    __slots__ = ("counts", "cum", "queue", "g", "h", "f", "parent", "action", "alive")
+    __slots__ = ("counts", "cum", "queue", "g", "f", "parent", "action")
 
-    def __init__(self, counts, cum, queue, g, h, parent=None, action=None):
+    def __init__(self, counts, cum, queue, g, f, parent=None, action=None):
         self.counts = counts
         self.cum = cum  # slot-duration-scaled cumulative capacity, canonical order
         self.queue = queue
         self.g = g
-        self.h = h
-        self.f = g + h
+        self.f = f
         self.parent = parent
         self.action = action
-        self.alive = True
 
 
 def queue_update(q, c, tau: float) -> np.ndarray:
@@ -129,13 +123,6 @@ def heuristic(channel: ChannelModel, q) -> float:
     drain tolerance, rounded up.
     """
     return _slot_bound(channel, 0.0)(np.asarray(q, dtype=float).tolist())
-
-
-def dominates(a, b) -> bool:
-    """Node a reaches a no-larger residual queue in no more slots than b."""
-    if a.g > b.g:
-        return False
-    return all(x >= y for x, y in zip(a.cum, b.cum))
 
 
 def effective_branching_factor(expanded: int, depth: int) -> float:
@@ -195,8 +182,6 @@ def _cum_from_counts(counts, taucap, dim: int) -> tuple[float, ...]:
 
 
 def _runaway_cap(options: SolverOptions, h0: float, num_pairs: int) -> int:
-    if options.hard_cap is not None:
-        return options.hard_cap
     if options.horizon is not None:
         slots = options.horizon
     else:
@@ -204,6 +189,21 @@ def _runaway_cap(options: SolverOptions, h0: float, num_pairs: int) -> int:
         # pair-at-a-time schedule, which always drains the queue
         slots = max(1, math.ceil(h0))
     return math.ceil(2.0 * h0) + num_pairs * slots
+
+
+def checked_backlog(channel: ChannelModel, q) -> tuple[np.ndarray, float]:
+    """Backlog ``q`` as a float array, plus its drain tolerance.
+
+    A pair counts as drained once its residual is at most the tolerance,
+    ``GOAL_EPS_FACTOR * max(1, max q)``. Raises ValueError on a wrong shape or
+    on non-finite or negative entries.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (channel.num_pairs,):
+        raise ValueError(f"queue has shape {q.shape}, expected ({channel.num_pairs},)")
+    if not np.all(np.isfinite(q)) or np.any(q < 0):
+        raise ValueError("queue lengths must be finite and nonnegative")
+    return q, GOAL_EPS_FACTOR * max(1.0, float(np.max(q)))
 
 
 def solve(
@@ -215,22 +215,17 @@ def solve(
 ) -> Solution:
     """Minimum number of slots that drains backlog q0, plus a witness schedule.
 
-    Best-first search on (residual queue, action multiset) states. Nodes are
-    ordered by path cost plus heuristic; ties prefer deeper nodes, then
-    lexicographically smaller cumulative capacity. Visited states are keyed on
-    (depth, cumulative capacity), and after each expansion any frontier node
-    whose cumulative capacity is dominated at no smaller depth is discarded.
+    A* on (depth, action multiset) states: slots commute, so every ordering
+    of one multiset reaches the same residual queue. Nodes are ordered by
+    path cost plus the ceiled heuristic; ties prefer deeper nodes, then
+    lexicographically smaller cumulative capacity. Each state is keyed on
+    (depth, cumulative capacity) and pushed at most once; a child whose key
+    was already generated is dropped and counted in ``stats.pruned_nodes``.
     """
     opts = options or SolverOptions()
     started = time.perf_counter()
 
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (channel.num_pairs,):
-        raise ValueError(f"queue has shape {q0.shape}, expected ({channel.num_pairs},)")
-    if not np.all(np.isfinite(q0)) or np.any(q0 < 0):
-        raise ValueError("queue lengths must be finite and nonnegative")
-
-    eps = opts.goal_eps_factor * max(1.0, float(np.max(q0)))
+    q0, eps = checked_backlog(channel, q0)
     bound = _slot_bound(channel, eps)
     q0_t = tuple(float(x) for x in q0)
     h0 = bound(q0_t)  # raises if a pair with backlog can never transmit
@@ -250,49 +245,28 @@ def solve(
     taucap = [tuple(tau * r for r in e.rate) for e in actions]
 
     use_h = opts.use_heuristic
-    use_ceil = opts.integer_heuristic
 
     def h_of(queue) -> float:
         if not use_h:
             return 0.0
         best = bound(queue)
-        if use_ceil and best > 0.0:
-            return float(math.ceil(best - _CEIL_GUARD))
-        return best
+        # true residual costs are integers, so the bound rounds up
+        return float(math.ceil(best - _CEIL_GUARD)) if best > 0.0 else 0.0
 
     hard_cap = _runaway_cap(opts, h0, dim)
 
-    root = SearchNode(
-        counts=(0,) * num_actions,
-        cum=(0.0,) * dim,
-        queue=q0_t,
-        g=0,
-        h=h_of(q0_t),
-    )
-
+    root_cum = (0.0,) * dim
+    root = _Node((0,) * num_actions, root_cum, q0_t, 0, h_of(q0_t))
     counter = 0
-    heap = [(root.f, 0, root.cum, counter, root)]
-    open_index: dict[tuple, SearchNode] = {(0, root.cum): root}
-    open_by_g: dict[int, dict[tuple, SearchNode]] = {0: {(0, root.cum): root}}
-    closed: set[tuple] = set()
+    heap = [(root.f, 0, root_cum, counter, root)]
+    seen: set[tuple] = {(0, root_cum)}
     expanded_queues: list[np.ndarray] | None = [] if opts.trace_expanded else None
 
-    goal: SearchNode | None = None
+    goal: _Node | None = None
     min_f_bound: float | None = None
 
     while heap:
-        _, _, _, _, node = heapq.heappop(heap)
-        if not node.alive:
-            continue
-        key = (node.g, node.cum)
-        node.alive = False
-        open_index.pop(key, None)
-        bucket = open_by_g.get(node.g)
-        if bucket is not None:
-            bucket.pop(key, None)
-        if key in closed:
-            continue
-
+        node = heapq.heappop(heap)[-1]
         if all(q <= eps for q in node.queue):
             goal = node
             break
@@ -304,28 +278,10 @@ def solve(
                 f"search passed the depth guard {hard_cap} without draining the queue"
             )
 
-        closed.add(key)
         if node.parent is not None:
             stats.expanded_nodes += 1
         if expanded_queues is not None:
             expanded_queues.append(np.array(node.queue))
-
-        if opts.use_pruning:
-            acum = node.cum
-            ag = node.g
-            for g_level, level in open_by_g.items():
-                if g_level < ag or not level:
-                    continue
-                doomed = [
-                    k
-                    for k, other in level.items()
-                    if all(x >= y for x, y in zip(acum, other.cum))
-                ]
-                for k in doomed:
-                    victim = level.pop(k)
-                    victim.alive = False
-                    open_index.pop(k, None)
-                    stats.pruned_nodes += 1
 
         child_g = node.g + 1
         for ai in range(num_actions):
@@ -334,16 +290,16 @@ def solve(
             cum = _cum_from_counts(counts, taucap, dim)
             stats.generated_nodes += 1
             ckey = (child_g, cum)
-            if ckey in closed or ckey in open_index:
+            if ckey in seen:
+                stats.pruned_nodes += 1
                 continue
+            seen.add(ckey)
             queue = tuple(
                 q0_t[j] - cum[j] if q0_t[j] > cum[j] else 0.0 for j in range(dim)
             )
-            child = SearchNode(counts, cum, queue, child_g, h_of(queue), node, ai)
+            child = _Node(counts, cum, queue, child_g, child_g + h_of(queue), node, ai)
             counter += 1
             heapq.heappush(heap, (child.f, -child_g, cum, counter, child))
-            open_index[ckey] = child
-            open_by_g.setdefault(child_g, {})[ckey] = child
 
     stats.wall_time = time.perf_counter() - started
 

@@ -131,17 +131,13 @@ def test_criterion_2_unachievable_example(ex2):
 def test_criterion_3_solver_matches_oracle(corpus):
     mismatches = 0
     for inst in corpus:
-        with_pruning = solve(inst.channel, inst.q0, refined=inst.refined)
-        without = solve(
-            inst.channel, inst.q0, SolverOptions(use_pruning=False), refined=inst.refined
-        )
-        if with_pruning.p_star != inst.oracle_p or without.p_star != inst.oracle_p:
+        if solve(inst.channel, inst.q0, refined=inst.refined).p_star != inst.oracle_p:
             mismatches += 1
     ok = mismatches == 0
     _report(
         3,
         ok,
-        f"optimality on {len(corpus)} random instances, pruning on and off: "
+        f"optimality on {len(corpus)} random instances: "
         f"{len(corpus) - mismatches}/{len(corpus)} match the oracle",
     )
 
@@ -160,15 +156,13 @@ def test_criterion_3_tolerance_edge_matches_oracle():
         eps = GOAL_EPS_FACTOR * max(1.0, float(np.max(exact)))
         q0 = exact + rng.uniform(0.3, 0.99, channel.num_pairs) * eps
         oracle = brute_force_min_time(channel, q0, ORACLE_CAP).p_star
-        with_pruning = solve(channel, q0, refined=refined).p_star
-        without = solve(channel, q0, SolverOptions(use_pruning=False), refined=refined).p_star
-        if oracle is None or with_pruning != oracle or without != oracle:
+        if oracle is None or solve(channel, q0, refined=refined).p_star != oracle:
             mismatches += 1
     ok = mismatches == 0
     _report(
         3,
         ok,
-        f"optimality at the drain tolerance, pruning on and off: "
+        f"optimality at the drain tolerance: "
         f"{TOLERANCE_EDGE_SIZE - mismatches}/{TOLERANCE_EDGE_SIZE} match the oracle",
     )
 

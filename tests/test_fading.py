@@ -115,14 +115,3 @@ def test_uninformed_search_expands_at_least_as_much():
     uninformed = ebf_experiment(config, solver_options=SolverOptions(use_heuristic=False))
     assert uninformed.avg_expanded >= informed.avg_expanded
 
-
-def test_pruning_off_never_reduces_ebf_trial_by_trial():
-    # compare per-trial by running single-trial configs on identical streams
-    for index in range(12):
-        config = FadingConfig(m=2.0, trials=1, seed=5000 + index)
-        on = ebf_experiment(config)
-        off = ebf_experiment(config, solver_options=SolverOptions(use_pruning=False))
-        assert on.solved == off.solved
-        if on.solved:
-            assert off.avg_ebf >= on.avg_ebf - 1e-12
-            assert off.avg_expanded >= on.avg_expanded

@@ -20,6 +20,14 @@ def test_oracle_zero_queue(ex1):
     assert result.explored_nodes == 0
 
 
+@pytest.mark.parametrize(
+    "q0", [[float("inf"), 1.0, 1.0], [float("nan"), 1.0, 1.0], [-1.0, 1.0, 1.0]]
+)
+def test_oracle_rejects_bad_backlogs(ex1, q0):
+    with pytest.raises(ValueError):
+        brute_force_min_time(ex1, q0, 3)
+
+
 def test_oracle_certificate_below_optimum(ex1):
     result = brute_force_min_time(ex1, [5.0, 5.0, 5.0], 2, use_refined=True)
     assert result.p_star is None

@@ -191,6 +191,14 @@ def test_max_weight_single_pair_within_capacity():
     assert result.cleared
 
 
+@pytest.mark.parametrize(
+    "mu", [[float("inf"), 1.0, 1.0], [float("nan"), 1.0, 1.0], [-1.0, 1.0, 1.0]]
+)
+def test_max_weight_rejects_bad_targets(ex1, mu):
+    with pytest.raises(ValueError):
+        max_weight_policy(ex1, mu, 3)
+
+
 def test_max_weight_success_implies_achievable(ex1):
     result = max_weight_policy(ex1, [0.5, 0.5, 0.5], 5)
     if result.cleared:

@@ -230,8 +230,23 @@ def test_cli_montecarlo_csv(capsys):
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == [
+        "m",
+        "trials",
+        "solved",
+        "avg_ebf",
+        "avg_expanded",
+        "avg_wall_ms",
+        "unachievable",
+        "failed",
+        "achievable_fraction",
+        "max_refined_size",
+    ]
     assert [r["m"] for r in rows] == ["1", "3"]
-    assert all(int(r["solved"]) <= 20 for r in rows)
+    for r in rows:
+        assert int(r["solved"]) + int(r["unachievable"]) + int(r["failed"]) == 20
+        assert float(r["achievable_fraction"]) == pytest.approx(int(r["solved"]) / 20, rel=1e-5)
+        assert int(r["max_refined_size"]) > 0
 
 
 def test_cli_montecarlo_env_seed_override(capsys, monkeypatch):
@@ -246,8 +261,11 @@ def test_cli_montecarlo_env_seed_override(capsys, monkeypatch):
         "1",
     ]
     def deterministic_columns(text):
-        rows = list(csv.reader(io.StringIO(text)))
-        return [row[:-1] for row in rows]  # wall-clock column varies run to run
+        # the wall-clock column varies run to run
+        return [
+            {k: v for k, v in row.items() if k != "avg_wall_ms"}
+            for row in csv.DictReader(io.StringIO(text))
+        ]
 
     monkeypatch.setenv("FHTP_SEED", "99")
     _, with_env = run_cli(capsys, *argv)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from fhtp import (
     ChannelModel,
     InfeasibleError,
-    SearchNode,
     SolverOptions,
-    dominates,
+    brute_force_min_time,
     effective_branching_factor,
     heuristic,
     queue_update,
@@ -19,11 +18,6 @@ from fhtp import (
 )
 
 from .conftest import random_channel
-
-
-def node(g, cum):
-    dim = len(cum)
-    return SearchNode(counts=(), cum=tuple(cum), queue=(0.0,) * dim, g=g, h=0.0)
 
 
 def test_queue_update_partial_drain(ex1):
@@ -68,20 +62,6 @@ def test_heuristic_degenerate_pair_with_backlog():
     with pytest.raises(InfeasibleError):
         heuristic(channel, [1.0, 1.0])
     assert heuristic(channel, [1.0, 0.0]) > 0.0
-
-
-def test_dominates_reflexive():
-    a = node(2, (4.0, 4.0, 4.0))
-    assert dominates(a, a)
-
-
-def test_dominates_cheaper_equal_delivery():
-    assert dominates(node(2, (4.0, 4.0, 4.0)), node(3, (4.0, 4.0, 4.0)))
-    assert not dominates(node(3, (4.0, 4.0, 4.0)), node(2, (4.0, 4.0, 4.0)))
-
-
-def test_dominates_incomparable_vectors():
-    assert not dominates(node(2, (4.0, 0.0, 0.0)), node(2, (0.0, 4.0, 0.0)))
 
 
 def test_solve_example1(ex1):
@@ -153,14 +133,10 @@ def test_pruning_and_heuristic_toggles_preserve_optimum():
         picks = rng.integers(0, len(refined), 3)
         q0 = 0.8 * np.sum([refined.entries[i].rate for i in picks], axis=0)
         base = solve(channel, q0).p_star
-        assert solve(channel, q0, SolverOptions(use_pruning=False)).p_star == base
         assert solve(channel, q0, SolverOptions(use_heuristic=False)).p_star == base
-        assert solve(channel, q0, SolverOptions(integer_heuristic=False)).p_star == base
 
 
 def test_solver_matches_oracle_with_nonunit_slot_duration():
-    from fhtp import brute_force_min_time
-
     rng = np.random.default_rng(321)
     for _ in range(12):
         base = random_channel(rng)
@@ -178,6 +154,25 @@ def test_solver_matches_oracle_with_nonunit_slot_duration():
             * np.sum([refined.entries[i].rate for i in picks], axis=0)
         )
         assert solve(channel, q0).p_star == brute_force_min_time(channel, q0, 4).p_star
+
+
+def test_solver_matches_oracle_on_wide_action_sets():
+    # four pairs with levels {0, 1, 2}: up to 81 refined actions, wider than
+    # any corpus channel (2-3 pairs)
+    rng = np.random.default_rng(4)
+    widest = 0
+    for _ in range(8):
+        channel = ChannelModel(
+            gains=tuple(tuple(float(g) for g in row) for row in rng.uniform(0.05, 1.0, (4, 4))),
+            noise=tuple(float(w) for w in rng.uniform(0.05, 0.3, 4)),
+            power_sets=((0.0, 1.0, 2.0),) * 4,
+        )
+        refined = refined_power_set(channel)
+        widest = max(widest, len(refined))
+        picks = rng.integers(0, len(refined), int(rng.integers(1, 4)))
+        q0 = rng.uniform(0.4, 0.95) * np.sum([refined.entries[i].rate for i in picks], axis=0)
+        assert solve(channel, q0, refined=refined).p_star == brute_force_min_time(channel, q0, 3).p_star
+    assert widest > 50
 
 
 def test_cutoff_at_exactly_the_optimum_still_finds_it(ex1):
