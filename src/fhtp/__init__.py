@@ -4,7 +4,8 @@ Decides whether an average-rate target is reachable within a fixed number of
 slots and, when it is, produces the per-slot rate and power schedule. The
 workhorse is A* over action multisets with an interference-free admissible
 heuristic, restricted to Pareto-optimal power vectors; orderings of one
-multiset reach the same residual backlog and are searched once.
+multiset reach the same residual backlog, so each multiset is generated once,
+in nondecreasing action order.
 """
 
 from .channel import ChannelModel, PowerVector

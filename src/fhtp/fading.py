@@ -10,7 +10,6 @@ produce identical numbers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +130,9 @@ def ebf_experiment(
     """
     work = [(config, i, solver_options) for i in range(config.trials)]
     if jobs > 1:
+        # imported here: multiprocessing is a noticeable share of `import fhtp`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, work, chunksize=16))
     else:

@@ -191,7 +191,8 @@ def check_achievability(
     )
     solution = solve(channel, q0, opts)
     if solution.p_star is None:
-        bound = max(horizon + 1, math.ceil(solution.min_f_bound - 1e-9))
+        # g plus a ceiled bound: integral, and above the horizon once the cutoff fires
+        bound = int(solution.min_f_bound)
         return AchievabilityReport(
             achievable=False,
             horizon=horizon,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,12 +41,6 @@ class RefinedPowerSet:
 
     def __iter__(self):
         return iter(self.entries)
-
-    @cached_property
-    def rate_matrix(self) -> np.ndarray:
-        m = np.array([e.rate for e in self.entries], dtype=float)
-        m.setflags(write=False)
-        return m
 
     @property
     def powers(self) -> tuple[PowerVector, ...]:

@@ -41,7 +41,7 @@ class SolverOptions:
 class SearchStats:
     expanded_nodes: int = 0
     generated_nodes: int = 0
-    pruned_nodes: int = 0  # children dropped: their (depth, action multiset) was already generated
+    pruned_nodes: int = 0  # children skipped: action index below the expanded node's own
     ebf: float = 0.0
     wall_time: float = 0.0
     refined_size: int = 0  # |F|, the actions searched; 0 when q0 was already drained
@@ -66,18 +66,16 @@ class Solution:
 
 
 class _Node:
-    """One search node: a residual queue plus the action multiset that led to it."""
+    """One search node: a residual queue, reached by nondecreasing action indices."""
 
-    __slots__ = ("counts", "cum", "queue", "g", "f", "parent", "action")
+    __slots__ = ("queue", "g", "f", "parent", "action")
 
-    def __init__(self, counts, cum, queue, g, f, parent=None, action=None):
-        self.counts = counts
-        self.cum = cum  # slot-duration-scaled cumulative capacity, canonical order
+    def __init__(self, queue, g, f, parent=None, action=0):
         self.queue = queue
         self.g = g
         self.f = f
         self.parent = parent
-        self.action = action
+        self.action = action  # index of the last action; children take this one or later
 
 
 def queue_update(q, c, tau: float) -> np.ndarray:
@@ -162,23 +160,11 @@ def _ebf_root(expanded: float, depth: int, lo: float = 0.0) -> float:
 
 
 def _stats_ebf(expanded: int, depth: int | None) -> float:
-    # duplicate collapsing can legitimately push expanded below depth, in
-    # which case the root of the defining equation simply drops below 1
+    # the goal and the root are not counted, so expanded can fall below
+    # depth, in which case the root of the defining equation drops below 1
     if not depth:
         return 0.0
     return _ebf_root(expanded, depth)
-
-
-def _cum_from_counts(counts, taucap, dim: int) -> tuple[float, ...]:
-    # fixed accumulation order: identical action multisets produce bitwise
-    # identical sums regardless of the path that reached them
-    out = [0.0] * dim
-    for k, c in enumerate(counts):
-        if c:
-            row = taucap[k]
-            for j in range(dim):
-                out[j] += c * row[j]
-    return tuple(out)
 
 
 def _runaway_cap(options: SolverOptions, h0: float, num_pairs: int) -> int:
@@ -215,12 +201,15 @@ def solve(
 ) -> Solution:
     """Minimum number of slots that drains backlog q0, plus a witness schedule.
 
-    A* on (depth, action multiset) states: slots commute, so every ordering
-    of one multiset reaches the same residual queue. Nodes are ordered by
-    path cost plus the ceiled heuristic; ties prefer deeper nodes, then
-    lexicographically smaller cumulative capacity. Each state is keyed on
-    (depth, cumulative capacity) and pushed at most once; a child whose key
-    was already generated is dropped and counted in ``stats.pruned_nodes``.
+    A* over action multisets: slots commute, so a node is expanded only
+    with actions whose refined-set index is at least that of the action that
+    created it, and each multiset is generated once, in sorted order. The
+    skipped children are counted in ``stats.pruned_nodes``. A child's queue
+    is one clamped slot of drain from its parent's. Nodes are ordered by path
+    cost plus the ceiled heuristic; ties prefer deeper nodes, then earlier
+    pushes. The heuristic is admissible on the queue, so the sorted prefix of
+    an optimal multiset that sits on the open list has f <= p*, and the
+    search stays exact.
     """
     opts = options or SolverOptions()
     started = time.perf_counter()
@@ -255,11 +244,9 @@ def solve(
 
     hard_cap = _runaway_cap(opts, h0, dim)
 
-    root_cum = (0.0,) * dim
-    root = _Node((0,) * num_actions, root_cum, q0_t, 0, h_of(q0_t))
+    root = _Node(q0_t, 0, h_of(q0_t))
     counter = 0
-    heap = [(root.f, 0, root_cum, counter, root)]
-    seen: set[tuple] = {(0, root_cum)}
+    heap = [(root.f, 0, counter, root)]
     expanded_queues: list[np.ndarray] | None = [] if opts.trace_expanded else None
 
     goal: _Node | None = None
@@ -283,23 +270,16 @@ def solve(
         if expanded_queues is not None:
             expanded_queues.append(np.array(node.queue))
 
+        stats.generated_nodes += num_actions - node.action
+        stats.pruned_nodes += node.action
         child_g = node.g + 1
-        for ai in range(num_actions):
-            counts = node.counts
-            counts = counts[:ai] + (counts[ai] + 1,) + counts[ai + 1 :]
-            cum = _cum_from_counts(counts, taucap, dim)
-            stats.generated_nodes += 1
-            ckey = (child_g, cum)
-            if ckey in seen:
-                stats.pruned_nodes += 1
-                continue
-            seen.add(ckey)
-            queue = tuple(
-                q0_t[j] - cum[j] if q0_t[j] > cum[j] else 0.0 for j in range(dim)
-            )
-            child = _Node(counts, cum, queue, child_g, child_g + h_of(queue), node, ai)
+        q = node.queue
+        for ai in range(node.action, num_actions):
+            drain = taucap[ai]
+            queue = tuple(q[j] - drain[j] if q[j] > drain[j] else 0.0 for j in range(dim))
+            child = _Node(queue, child_g, child_g + h_of(queue), node, ai)
             counter += 1
-            heapq.heappush(heap, (child.f, -child_g, cum, counter, child))
+            heapq.heappush(heap, (child.f, -child_g, counter, child))
 
     stats.wall_time = time.perf_counter() - started
 
@@ -318,21 +298,15 @@ def solve(
             expanded_queues=expanded_queues,
         )
 
-    taken: list[int] = []
-    walk = goal
-    while walk.parent is not None:
-        taken.append(walk.action)
-        walk = walk.parent
-    taken.reverse()
-
-    trajectory = [q0.copy()]
-    for ai in taken:
-        trajectory.append(queue_update(trajectory[-1], actions[ai].rate, tau))
+    path = [goal]
+    while path[-1].parent is not None:
+        path.append(path[-1].parent)
+    path.reverse()
     stats.ebf = _stats_ebf(stats.expanded_nodes, goal.g)
     return Solution(
         p_star=goal.g,
-        actions=[actions[ai].power for ai in taken],
-        queue_trajectory=trajectory,
+        actions=[actions[n.action].power for n in path[1:]],
+        queue_trajectory=[np.array(n.queue) for n in path],
         stats=stats,
         expanded_queues=expanded_queues,
     )

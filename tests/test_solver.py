@@ -156,11 +156,10 @@ def test_solver_matches_oracle_with_nonunit_slot_duration():
         assert solve(channel, q0).p_star == brute_force_min_time(channel, q0, 4).p_star
 
 
-def test_solver_matches_oracle_on_wide_action_sets():
+def _wide_instances():
     # four pairs with levels {0, 1, 2}: up to 81 refined actions, wider than
     # any corpus channel (2-3 pairs)
     rng = np.random.default_rng(4)
-    widest = 0
     for _ in range(8):
         channel = ChannelModel(
             gains=tuple(tuple(float(g) for g in row) for row in rng.uniform(0.05, 1.0, (4, 4))),
@@ -168,11 +167,34 @@ def test_solver_matches_oracle_on_wide_action_sets():
             power_sets=((0.0, 1.0, 2.0),) * 4,
         )
         refined = refined_power_set(channel)
-        widest = max(widest, len(refined))
         picks = rng.integers(0, len(refined), int(rng.integers(1, 4)))
         q0 = rng.uniform(0.4, 0.95) * np.sum([refined.entries[i].rate for i in picks], axis=0)
+        yield channel, refined, q0
+
+
+def test_solver_matches_oracle_on_wide_action_sets():
+    widest = 0
+    for channel, refined, q0 in _wide_instances():
+        widest = max(widest, len(refined))
         assert solve(channel, q0, refined=refined).p_star == brute_force_min_time(channel, q0, 3).p_star
     assert widest > 50
+
+
+def test_each_action_multiset_generated_once(ex1, ex2):
+    # children take the expanded node's action index or a later one, so each
+    # expansion generates or skips every refined action exactly once
+    instances = [
+        (ex1, refined_power_set(ex1), [5.0, 5.0, 5.0]),
+        (ex2, refined_power_set(ex2), [5.0, 5.0, 5.0]),
+        *_wide_instances(),
+    ]
+    for channel, refined, q0 in instances:
+        solution = solve(channel, q0, refined=refined)
+        s = solution.stats
+        assert solution.p_star >= 1
+        assert s.generated_nodes + s.pruned_nodes == s.refined_size * (s.expanded_nodes + 1)
+        indices = [refined.powers.index(a) for a in solution.actions]
+        assert indices == sorted(indices)
 
 
 def test_cutoff_at_exactly_the_optimum_still_finds_it(ex1):
