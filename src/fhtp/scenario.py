@@ -12,6 +12,11 @@ Field reference (all required unless noted):
   target_rate    N nonnegative average rates to achieve
   gamma          optional N SNR-gap factors >= 1, divided into the diagonal
                  gains before the channel is built (default: all 1.0)
+
+Every value must be finite, and so must what the model derives from them:
+each received power gains[m][n] * max(power_sets[m]) and its sum at a
+receiver, each peak SINR gains[n][n] * max(power_sets[n]) / noise[n], and
+each backlog slot_duration * horizon * target_rate[n].
 """
 
 from __future__ import annotations
@@ -98,6 +103,23 @@ def _real_vector(doc: dict, name: str, n: int, minimum: float, strict: bool) -> 
     return tuple(out)
 
 
+def _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, target) -> None:
+    """Reject finite inputs whose received powers, peak SINRs or backlogs overflow a float."""
+    for r in range(n):
+        # the terms are nonnegative, so the sum overflows if any of them does
+        if not math.isfinite(sum(gains[m][r] * power_sets[m][-1] for m in range(n))):
+            raise ScenarioError(f"received power at receiver {r} overflows")
+        if not math.isfinite(gains[r][r] * power_sets[r][-1] / noise[r]):
+            raise ScenarioError(f"peak SINR of pair {r} overflows")
+    try:
+        span = slot_duration * horizon
+    except OverflowError:  # a horizon too large for a float
+        span = math.inf
+    for j, rate in enumerate(target):
+        if not math.isfinite(span * rate):
+            raise ScenarioError(f"target_rate[{j}]: backlog slot_duration * horizon * rate overflows")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -143,6 +165,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         gamma = _real_vector(doc, "gamma", n, 1.0, strict=False)
     else:
         gamma = (1.0,) * n
+
+    _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, target)
 
     return Scenario(
         num_pairs=n,

@@ -25,6 +25,10 @@ GOAL_EPS_FACTOR = 1e-9
 # slack subtracted before ceil() so a half-ulp overshoot of an exactly-integer
 # slot bound cannot round the heuristic up past the true residual cost
 _CEIL_GUARD = 1e-9
+# a node with at least this many children computes them in one NumPy pass;
+# below it the per-child Python loop is cheaper (timed at 3 and 4 pairs: the
+# two tie at 8 children, the kernel leads from 9 on)
+_KERNEL_MIN_CHILDREN = 9
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,13 @@ class Solution:
 
 
 class _Node:
-    """One search node: a residual queue, reached by nondecreasing action indices."""
+    """An expanded search node: built when its heap entry is popped, kept for the witness chain."""
 
-    __slots__ = ("queue", "g", "f", "parent", "action")
+    __slots__ = ("queue", "g", "parent", "action")
 
-    def __init__(self, queue, g, f, parent=None, action=0):
+    def __init__(self, queue, g, parent, action):
         self.queue = queue
         self.g = g
-        self.f = f
         self.parent = parent
         self.action = action  # index of the last action; children take this one or later
 
@@ -83,16 +86,24 @@ def queue_update(q, c, tau: float) -> np.ndarray:
     return np.maximum(np.asarray(q, dtype=float) - tau * np.asarray(c, dtype=float), 0.0)
 
 
-def _slot_bound(channel: ChannelModel, eps: float):
-    """`heuristic` for the backlog beyond drain tolerance ``eps``, as a function of the queue.
+def _slot_drains(channel: ChannelModel) -> list[float]:
+    """Most of pair n's backlog one slot can drain, tau * interference_free_rate(n).
 
-    A pair counts as drained once its backlog is at most ``eps``, so only
-    q_n - eps of it bounds the slots still needed.
+    0.0 for a pair with no positive power level.
     """
-    denom = [
+    return [
         channel.slot_duration * channel.interference_free_rate(n) if channel.max_power(n) > 0.0 else 0.0
         for n in range(channel.num_pairs)
     ]
+
+
+def _slot_bound(denom: list[float], eps: float):
+    """`heuristic` for the backlog beyond drain tolerance ``eps``, as a function of the queue.
+
+    ``denom`` is `_slot_drains` of the channel. A pair counts as drained once
+    its backlog is at most ``eps``, so only q_n - eps of it bounds the slots
+    still needed.
+    """
 
     def bound(queue) -> float:
         best = 0.0
@@ -120,7 +131,7 @@ def heuristic(channel: ChannelModel, q) -> float:
     queue is drained. `solve` runs the same bound on the backlog beyond its
     drain tolerance, rounded up.
     """
-    return _slot_bound(channel, 0.0)(np.asarray(q, dtype=float).tolist())
+    return _slot_bound(_slot_drains(channel), 0.0)(np.asarray(q, dtype=float).tolist())
 
 
 def effective_branching_factor(expanded: int, depth: int) -> float:
@@ -210,12 +221,19 @@ def solve(
     pushes. The heuristic is admissible on the queue, so the sorted prefix of
     an optimal multiset that sits on the open list has f <= p*, and the
     search stays exact.
+
+    A node with at least ``_KERNEL_MIN_CHILDREN`` children computes all their
+    queues and f values in one NumPy pass over the matrix of per-action
+    drains; narrower nodes loop in Python. Both give bitwise-equal queues and
+    f values, so the search is the same either way. Heap entries hold the
+    child's queue and parent; a node object is built only once it is popped.
     """
     opts = options or SolverOptions()
     started = time.perf_counter()
 
     q0, eps = checked_backlog(channel, q0)
-    bound = _slot_bound(channel, eps)
+    denom = _slot_drains(channel)
+    bound = _slot_bound(denom, eps)
     q0_t = tuple(float(x) for x in q0)
     h0 = bound(q0_t)  # raises if a pair with backlog can never transmit
 
@@ -232,6 +250,10 @@ def solve(
     dim = channel.num_pairs
     tau = channel.slot_duration
     taucap = [tuple(tau * r for r in e.rate) for e in actions]
+    drain = np.array(taucap)
+    # the root check above leaves no backlog on a pair that cannot transmit,
+    # so an infinite denominator makes its column bound nothing
+    den = np.array([d if d > 0.0 else math.inf for d in denom])
 
     use_h = opts.use_heuristic
 
@@ -244,42 +266,55 @@ def solve(
 
     hard_cap = _runaway_cap(opts, h0, dim)
 
-    root = _Node(q0_t, 0, h_of(q0_t))
+    # heap entries: (f, -g, counter, queue, parent node, last action index)
+    heap = [(h_of(q0_t), 0, 0, q0_t, None, 0)]
     counter = 0
-    heap = [(root.f, 0, counter, root)]
     expanded_queues: list[np.ndarray] | None = [] if opts.trace_expanded else None
 
     goal: _Node | None = None
     min_f_bound: float | None = None
 
     while heap:
-        node = heapq.heappop(heap)[-1]
-        if all(q <= eps for q in node.queue):
+        f, neg_g, _, queue, parent, first = heapq.heappop(heap)
+        node = _Node(queue, -neg_g, parent, first)
+        if all(q <= eps for q in queue):
             goal = node
             break
-        if opts.depth_cap is not None and node.f > opts.depth_cap:
-            min_f_bound = node.f
+        if opts.depth_cap is not None and f > opts.depth_cap:
+            min_f_bound = f
             break
-        if node.f > hard_cap:
+        if f > hard_cap:
             raise SizeLimitError(
                 f"search passed the depth guard {hard_cap} without draining the queue"
             )
 
-        if node.parent is not None:
+        if parent is not None:
             stats.expanded_nodes += 1
         if expanded_queues is not None:
-            expanded_queues.append(np.array(node.queue))
+            expanded_queues.append(np.array(queue))
 
-        stats.generated_nodes += num_actions - node.action
-        stats.pruned_nodes += node.action
+        width = num_actions - first
+        stats.generated_nodes += width
+        stats.pruned_nodes += first
         child_g = node.g + 1
-        q = node.queue
-        for ai in range(node.action, num_actions):
-            drain = taucap[ai]
-            queue = tuple(q[j] - drain[j] if q[j] > drain[j] else 0.0 for j in range(dim))
-            child = _Node(queue, child_g, child_g + h_of(queue), node, ai)
-            counter += 1
-            heapq.heappush(heap, (child.f, -child_g, counter, child))
+        if width >= _KERNEL_MIN_CHILDREN:
+            # np.maximum(q - d, 0) equals the loop's `q - d if q > d else 0.0`,
+            # and the ceiled row maximum equals h_of on every queue
+            clamped = np.maximum(np.array(queue) - drain[first:], 0.0)
+            queues = clamped.tolist()
+            if use_h:
+                best = ((clamped - eps) / den).max(axis=1)
+                fs = (child_g + np.maximum(np.ceil(best - _CEIL_GUARD), 0.0)).tolist()
+            else:
+                fs = [float(child_g)] * width
+            for ai, child_f, child_queue in zip(range(first, num_actions), fs, queues):
+                counter += 1
+                heapq.heappush(heap, (child_f, -child_g, counter, child_queue, node, ai))
+        else:
+            for ai in range(first, num_actions):
+                child_queue = [q - d if q > d else 0.0 for q, d in zip(queue, taucap[ai])]
+                counter += 1
+                heapq.heappush(heap, (child_g + h_of(child_queue), -child_g, counter, child_queue, node, ai))
 
     stats.wall_time = time.perf_counter() - started
 

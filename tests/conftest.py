@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from fhtp import ChannelModel, RefinedPowerSet, brute_force_min_time, refined_power_set
+from fhtp.solver import GOAL_EPS_FACTOR
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 200
 ORACLE_CAP = 4
+TOLERANCE_EDGE_SEED = 20261017
+TOLERANCE_EDGE_SIZE = 400
 
 
 def example1_channel() -> ChannelModel:
@@ -83,6 +86,23 @@ def random_instance(rng: np.random.Generator) -> Instance:
     oracle = brute_force_min_time(channel, q0, ORACLE_CAP, use_refined=True)
     assert oracle.p_star is not None
     return Instance(channel=channel, q0=q0, refined=refined, oracle_p=oracle.p_star)
+
+
+def tolerance_edge_instances():
+    """(channel, refined set, q0): backlogs that k <= ORACLE_CAP refined slots
+    drain exactly, plus 0.3-0.99 of the drain tolerance.
+
+    The goal test counts them drained after those k slots, so a bound that
+    ignores the tolerance overestimates by one slot.
+    """
+    rng = np.random.default_rng(TOLERANCE_EDGE_SEED)
+    for _ in range(TOLERANCE_EDGE_SIZE):
+        channel = random_channel(rng)
+        refined = refined_power_set(channel)
+        picks = rng.integers(0, len(refined), int(rng.integers(1, ORACLE_CAP + 1)))
+        exact = channel.slot_duration * np.sum([refined.entries[i].rate for i in picks], axis=0)
+        eps = GOAL_EPS_FACTOR * max(1.0, float(np.max(exact)))
+        yield channel, refined, exact + rng.uniform(0.3, 0.99, channel.num_pairs) * eps
 
 
 @pytest.fixture(scope="session")

@@ -30,12 +30,7 @@ from fhtp import (
     solve,
     verify_policy,
 )
-from fhtp.solver import GOAL_EPS_FACTOR
-
-from .conftest import ORACLE_CAP, random_channel
-
-TOLERANCE_EDGE_SEED = 20261017
-TOLERANCE_EDGE_SIZE = 400
+from .conftest import ORACLE_CAP, TOLERANCE_EDGE_SIZE, random_channel, tolerance_edge_instances
 
 PUBLISHED_ACTIONS = [
     (2.0, 0.0, 0.0),
@@ -143,18 +138,8 @@ def test_criterion_3_solver_matches_oracle(corpus):
 
 
 def test_criterion_3_tolerance_edge_matches_oracle():
-    # backlogs that k refined slots drain exactly, plus 0.3-0.99 of the drain
-    # tolerance: the goal test counts them drained after those k slots, so a
-    # bound that ignores the tolerance overestimates by one slot
-    rng = np.random.default_rng(TOLERANCE_EDGE_SEED)
     mismatches = 0
-    for _ in range(TOLERANCE_EDGE_SIZE):
-        channel = random_channel(rng)
-        refined = refined_power_set(channel)
-        picks = rng.integers(0, len(refined), int(rng.integers(1, ORACLE_CAP + 1)))
-        exact = channel.slot_duration * np.sum([refined.entries[i].rate for i in picks], axis=0)
-        eps = GOAL_EPS_FACTOR * max(1.0, float(np.max(exact)))
-        q0 = exact + rng.uniform(0.3, 0.99, channel.num_pairs) * eps
+    for channel, refined, q0 in tolerance_edge_instances():
         oracle = brute_force_min_time(channel, q0, ORACLE_CAP).p_star
         if oracle is None or solve(channel, q0, refined=refined).p_star != oracle:
             mismatches += 1

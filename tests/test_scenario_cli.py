@@ -189,6 +189,11 @@ def test_cli_bad_json(tmp_path, capsys):
         (("target_rate", 1), float("inf")),
         (("power_sets", 0, 1), float("inf")),
         (("slot_duration",), float("nan")),
+        # finite, but a received power, a peak SINR or a backlog overflows
+        (("gains", 0, 0), 1e308),
+        (("noise", 0), 1e-320),
+        (("target_rate", 0), 1e308),
+        pytest.param(("horizon",), 10**400, id="horizon-1e400"),
     ],
 )
 def test_cli_rejects_non_finite_values(tmp_path, capsys, path, value):

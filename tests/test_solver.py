@@ -15,9 +15,10 @@ from fhtp import (
     queue_update,
     refined_power_set,
     solve,
+    solver,
 )
 
-from .conftest import random_channel
+from .conftest import random_channel, tolerance_edge_instances
 
 
 def test_queue_update_partial_drain(ex1):
@@ -76,11 +77,17 @@ def test_solve_example1(ex1):
     assert np.all(q <= 1e-9 * 5.0)
     assert len(solution.queue_trajectory) == 6
     assert np.all(solution.queue_trajectory[-1] <= 1e-9 * 5.0)
+    # the search itself is pinned: counts and the witness schedule
+    s = solution.stats
+    assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (82, 215, 366)
+    assert solution.actions == [(0.0, 0.0, 2.0), *[(2.0, 2.0, 0.0)] * 3, (2.0, 2.0, 2.0)]
 
 
 def test_solve_example2_exhaustive(ex2):
     solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
     assert solution.p_star == 8
+    s = solution.stats
+    assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (784, 1627, 3868)
 
 
 def test_solve_zero_queue(ex1):
@@ -93,7 +100,9 @@ def test_solve_zero_queue(ex1):
 def test_solve_cutoff_certificate(ex2):
     solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5, horizon=5))
     assert solution.p_star is None
-    assert solution.min_f_bound > 5
+    assert solution.min_f_bound == 6
+    s = solution.stats
+    assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (77, 209, 337)
     # the cutoff run must do less work than the exhaustive one
     exhaustive = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
     assert solution.stats.expanded_nodes <= exhaustive.stats.expanded_nodes
@@ -195,6 +204,41 @@ def test_each_action_multiset_generated_once(ex1, ex2):
         assert s.generated_nodes + s.pruned_nodes == s.refined_size * (s.expanded_nodes + 1)
         indices = [refined.powers.index(a) for a in solution.actions]
         assert indices == sorted(indices)
+
+
+def _search_record(solution):
+    s = solution.stats
+    return (
+        solution.p_star,
+        (s.expanded_nodes, s.generated_nodes, s.pruned_nodes, s.refined_size, s.ebf),
+        solution.min_f_bound,
+        solution.actions,
+        [q.tobytes() for q in solution.queue_trajectory],
+        [q.tobytes() for q in solution.expanded_queues],
+    )
+
+
+def test_wide_node_kernel_matches_scalar_loop(monkeypatch, corpus, ex1, ex2):
+    # the NumPy pass over a node's children and the per-child loop must give
+    # bitwise-equal queues and f values, hence the same search
+    traced = SolverOptions(trace_expanded=True)
+    cases = [(inst.channel, inst.refined, inst.q0, traced) for inst in corpus]
+    cases += [(channel, refined, q0, traced) for channel, refined, q0 in tolerance_edge_instances()]
+    cases += [(channel, refined, q0, traced) for channel, refined, q0 in _wide_instances()]
+    cases += [
+        (ex1, refined_power_set(ex1), [5.0, 5.0, 5.0], SolverOptions(use_heuristic=False, trace_expanded=True)),
+        (ex2, refined_power_set(ex2), [5.0, 5.0, 5.0], SolverOptions(depth_cap=5, trace_expanded=True)),
+    ]
+    # a backlog past the drain tolerance by 1e-11 more than two peak slots:
+    # only the ceiling guard keeps h at 2, which the depth-2 cap exposes
+    q0 = [(2.0 * math.log2(11.0) + 1e-11) / (1.0 - solver.GOAL_EPS_FACTOR), 0.0, 0.0]
+    cases.append((ex1, refined_power_set(ex1), q0, SolverOptions(depth_cap=2, trace_expanded=True)))
+    for channel, refined, q0, options in cases:
+        records = []
+        for threshold in (1, len(refined) + 1):  # kernel on every node, then on none
+            monkeypatch.setattr(solver, "_KERNEL_MIN_CHILDREN", threshold)
+            records.append(_search_record(solve(channel, q0, options, refined=refined)))
+        assert records[0] == records[1]
 
 
 def test_cutoff_at_exactly_the_optimum_still_finds_it(ex1):
