@@ -103,13 +103,22 @@ def _real_vector(doc: dict, name: str, n: int, minimum: float, strict: bool) -> 
     return tuple(out)
 
 
-def _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, target) -> None:
-    """Reject finite inputs whose received powers, peak SINRs or backlogs overflow a float."""
+def _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, gamma, target) -> None:
+    """Reject finite inputs whose received powers, peak SINRs or backlogs overflow a float.
+
+    The powers are those of the channel the scenario builds, whose desired-link
+    gains have the gap factors divided in; a gain that underflows to 0 there
+    is rejected too.
+    """
     for r in range(n):
+        desired = gains[r][r] / gamma[r]
+        if desired == 0.0:
+            raise ScenarioError(f"gains[{r}][{r}] / gamma[{r}]: desired-link gain underflows to 0")
         # the terms are nonnegative, so the sum overflows if any of them does
-        if not math.isfinite(sum(gains[m][r] * power_sets[m][-1] for m in range(n))):
+        received = sum((desired if m == r else gains[m][r]) * power_sets[m][-1] for m in range(n))
+        if not math.isfinite(received):
             raise ScenarioError(f"received power at receiver {r} overflows")
-        if not math.isfinite(gains[r][r] * power_sets[r][-1] / noise[r]):
+        if not math.isfinite(desired * power_sets[r][-1] / noise[r]):
             raise ScenarioError(f"peak SINR of pair {r} overflows")
     try:
         span = slot_duration * horizon
@@ -166,7 +175,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         gamma = (1.0,) * n
 
-    _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, target)
+    _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, gamma, target)
 
     return Scenario(
         num_pairs=n,

@@ -27,7 +27,9 @@ GOAL_EPS_FACTOR = 1e-9
 _CEIL_GUARD = 1e-9
 # a node with at least this many children computes them in one NumPy pass;
 # below it the per-child Python loop is cheaper (timed at 3 and 4 pairs: the
-# two tie at 8 children, the kernel leads from 9 on)
+# two tie at 8 children, the kernel leads from 9 on). The narrow searches need
+# the loop: with the kernel on every node, 3-pair A* (at most 7 children per
+# node) took twice as long per decision.
 _KERNEL_MIN_CHILDREN = 9
 
 

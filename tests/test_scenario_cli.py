@@ -209,6 +209,25 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, path, value):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "gain, noise, gamma, code",
+    [
+        # the raw peak SINR 2e310 overflows, the post-gap one (2e290) does not
+        (1e300, 1e-10, 1e20, 0),
+        # the post-gap desired-link gain underflows to 0
+        (1e-300, 0.1, 1e100, 65),
+    ],
+)
+def test_cli_checks_float_range_on_post_gap_gains(tmp_path, capsys, gain, noise, gamma, code):
+    doc = json.loads(EXAMPLE1)
+    doc["gains"][0][0] = gain
+    doc["noise"][0] = noise
+    doc["gamma"] = [gamma, 1.0, 1.0]
+    scenario = tmp_path / "gap.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["check", str(scenario)]) == code
+
+
 def test_cli_missing_file(capsys):
     assert main(["check", "/nonexistent/nope.json"]) == 65
 
