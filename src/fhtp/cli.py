@@ -33,7 +33,7 @@ from .policy import (
 )
 from .region import capacity_set, pareto_frontier, weak_pareto_frontier
 from .scenario import Scenario, parse_scenario
-from .solver import SolverOptions, solve
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_UNACHIEVABLE = 2
@@ -152,8 +152,7 @@ def _cmd_region(args) -> int:
 def _cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     channel = scenario.channel()
-    options = SolverOptions(horizon=scenario.horizon)
-    solution = solve(channel, scenario.initial_queue(), options)
+    solution = solve(channel, scenario.initial_queue())
     payload = {
         "p_star": solution.p_star,
         "actions": [list(a) for a in solution.actions],

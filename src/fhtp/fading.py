@@ -20,6 +20,16 @@ from .policy import check_achievability
 from .solver import SolverOptions
 
 
+def _check_shape(m: float, name: str) -> None:
+    if not (math.isfinite(m) and m >= 0.5):
+        raise ValueError(f"Nakagami shape {name} must be finite and at least 0.5, got {m!r}")
+
+
+def _check_mean_power(omega: float, name: str) -> None:
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"mean power {name} must be finite and positive, got {omega!r}")
+
+
 @dataclass(frozen=True)
 class FadingConfig:
     """One Monte Carlo setting: fading shape plus the fixed base scenario.
@@ -40,10 +50,9 @@ class FadingConfig:
     target_rate: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.m < 0.5:
-            raise ValueError("Nakagami shape m must be at least 0.5")
-        if self.mean_power_direct <= 0 or self.mean_power_cross <= 0:
-            raise ValueError("mean powers must be positive")
+        _check_shape(self.m, "m")
+        _check_mean_power(self.mean_power_direct, "mean_power_direct")
+        _check_mean_power(self.mean_power_cross, "mean_power_cross")
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
@@ -68,10 +77,8 @@ class EbfStats:
 
 def nakagami_power_gain(m: float, omega: float, rng: np.random.Generator) -> float:
     """One power-gain draw: squared Nakagami-m amplitude with mean omega."""
-    if m < 0.5:
-        raise ValueError("Nakagami shape m must be at least 0.5")
-    if omega <= 0:
-        raise ValueError("mean power omega must be positive")
+    _check_shape(m, "m")
+    _check_mean_power(omega, "omega")
     return float(rng.gamma(shape=m, scale=omega / m))
 
 
@@ -128,6 +135,8 @@ def ebf_experiment(
     the cutoff certifies unachievability, or that error out, are counted
     separately and never abort the batch.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     work = [(config, i, solver_options) for i in range(config.trials)]
     if jobs > 1:
         # imported here: multiprocessing is a noticeable share of `import fhtp`

@@ -137,8 +137,8 @@ def verify_policy(
             return VerificationReport(
                 ok=False, check="finite", component=j, detail=f"target {policy.target[j]!r}"
             )
-    for t, (rate, power) in enumerate(policy.pairs):
-        cap = channel.capacity_vector(power)
+    caps = channel.capacity_matrix([power for _, power in policy.pairs])
+    for t, ((rate, _), cap) in enumerate(zip(policy.pairs, caps)):
         for j in range(n):
             if rate[j] > cap[j] + capacity_slack:
                 return VerificationReport(
@@ -186,9 +186,7 @@ def check_achievability(
     the horizon, without computing the exact minimum.
     """
     mu, q0 = _target_backlog(channel, mu, horizon)
-    opts = replace(
-        options or SolverOptions(), depth_cap=horizon if cutoff else None, horizon=horizon
-    )
+    opts = replace(options or SolverOptions(), depth_cap=horizon if cutoff else None)
     solution = solve(channel, q0, opts)
     if solution.p_star is None:
         # g plus a ceiled bound: integral, and above the horizon once the cutoff fires

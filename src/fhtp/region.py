@@ -183,11 +183,13 @@ def refined_power_set(channel: ChannelModel, cap: int = DEFAULT_ENUMERATION_CAP)
 
 def one_slot_membership(channel: ChannelModel, mu, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Whether rate vector mu is achievable in a single slot."""
-    target = _key(np.asarray(mu, dtype=float))
-    if any(x < 0 for x in target):
+    arr = np.asarray(mu, dtype=float)
+    if arr.shape != (channel.num_pairs,):
+        raise ValueError(f"rate vector has shape {arr.shape}, expected ({channel.num_pairs},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("rate vector must be finite")
+    if np.any(arr < 0):
         raise ValueError("rate vector must be componentwise nonnegative")
+    target = _key(arr)
     refined = refined_power_set(channel, cap)
-    dim = len(target)
-    return any(
-        all(entry.rate[j] >= target[j] for j in range(dim)) for entry in refined.entries
-    )
+    return any(all(r >= t for r, t in zip(entry.rate, target)) for entry in refined.entries)

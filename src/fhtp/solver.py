@@ -35,10 +35,13 @@ _KERNEL_MIN_CHILDREN = 9
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for one solve run; the defaults reproduce the full algorithm."""
+    """Knobs for one solve run; the defaults reproduce the full algorithm.
+
+    The runaway guard takes no knob: its cap comes from q0 alone and is never
+    below p* (see `solve`), whatever the scheduling horizon.
+    """
 
     depth_cap: int | None = None  # certify "needs more than this many slots" and stop
-    horizon: int | None = None  # scheduling horizon, feeds the runaway guard
     use_heuristic: bool = True  # False degrades to uniform-cost search
     trace_expanded: bool = False  # record the queue of every expanded node
 
@@ -71,57 +74,43 @@ class Solution:
     expanded_queues: list[np.ndarray] | None = None
 
 
-class _Node:
-    """An expanded search node: built when its heap entry is popped, kept for the witness chain."""
-
-    __slots__ = ("queue", "g", "parent", "action")
-
-    def __init__(self, queue, g, parent, action):
-        self.queue = queue
-        self.g = g
-        self.parent = parent
-        self.action = action  # index of the last action; children take this one or later
-
-
 def queue_update(q, c, tau: float) -> np.ndarray:
     """One slot of queue dynamics: drain tau*c from q, clamped at zero."""
     return np.maximum(np.asarray(q, dtype=float) - tau * np.asarray(c, dtype=float), 0.0)
 
 
-def _slot_drains(channel: ChannelModel) -> list[float]:
-    """Most of pair n's backlog one slot can drain, tau * interference_free_rate(n).
+def _peak_drains(channel: ChannelModel, q: np.ndarray, eps: float) -> np.ndarray:
+    """Most of each pair's backlog one slot can drain, tau * interference_free_rate(n).
 
-    0.0 for a pair with no positive power level.
+    ``inf`` for a pair with no positive power level, so that `_slots_left`
+    ignores it. Raises InfeasibleError if such a pair holds backlog above
+    ``eps``: that queue can never drain.
     """
-    return [
+    den = np.array([
         channel.slot_duration * channel.interference_free_rate(n) if channel.max_power(n) > 0.0 else 0.0
         for n in range(channel.num_pairs)
-    ]
+    ])
+    stuck = den <= 0.0
+    blocked = stuck & (q > eps)
+    if np.any(blocked):
+        n = int(np.argmax(blocked))
+        raise InfeasibleError(f"pair {n} has backlog but no positive power level; queue can never drain")
+    den[stuck] = math.inf
+    return den
 
 
-def _slot_bound(denom: list[float], eps: float):
-    """`heuristic` for the backlog beyond drain tolerance ``eps``, as a function of the queue.
+def _slots_left(queues: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
+    """Largest (q_n - eps) / den_n in each row of ``queues``; ``den`` is `_peak_drains`.
 
-    ``denom`` is `_slot_drains` of the channel. A pair counts as drained once
-    its backlog is at most ``eps``, so only q_n - eps of it bounds the slots
-    still needed.
+    A pair counts as drained once its backlog is at most ``eps``, and one slot
+    drains at most den_n of it, so this never exceeds the slots still needed.
     """
+    return ((queues - eps) / den).max(axis=-1)
 
-    def bound(queue) -> float:
-        best = 0.0
-        for n, dn in enumerate(denom):
-            excess = queue[n] - eps
-            if excess > 0.0:
-                if dn <= 0.0:
-                    raise InfeasibleError(
-                        f"pair {n} has backlog but no positive power level; queue can never drain"
-                    )
-                v = excess / dn
-                if v > best:
-                    best = v
-        return best
 
-    return bound
+def _ceiled(bound):
+    # true residual costs are integers, so the bound rounds up
+    return np.maximum(np.ceil(bound - _CEIL_GUARD), 0.0)
 
 
 def heuristic(channel: ChannelModel, q) -> float:
@@ -131,9 +120,11 @@ def heuristic(channel: ChannelModel, q) -> float:
     slot, whatever anyone else does, so the maximum of q_n over that quantity
     never exceeds the true number of slots still needed. Zero exactly when the
     queue is drained. `solve` runs the same bound on the backlog beyond its
-    drain tolerance, rounded up.
+    drain tolerance, rounded up. Raises ValueError on a queue that
+    `checked_backlog` rejects.
     """
-    return _slot_bound(_slot_drains(channel), 0.0)(np.asarray(q, dtype=float).tolist())
+    q, _ = checked_backlog(channel, q)
+    return max(0.0, float(_slots_left(q, _peak_drains(channel, q, 0.0), 0.0)))
 
 
 def effective_branching_factor(expanded: int, depth: int) -> float:
@@ -180,14 +171,10 @@ def _stats_ebf(expanded: int, depth: int | None) -> float:
     return _ebf_root(expanded, depth)
 
 
-def _runaway_cap(options: SolverOptions, h0: float, num_pairs: int) -> int:
-    if options.horizon is not None:
-        slots = options.horizon
-    else:
-        # no horizon given: fall back to a bound that exceeds the serve-one-
-        # pair-at-a-time schedule, which always drains the queue
-        slots = max(1, math.ceil(h0))
-    return math.ceil(2.0 * h0) + num_pairs * slots
+def _runaway_cap(h0: float, num_pairs: int) -> int:
+    # serving one pair at a time at its peak rate drains the queue in at most
+    # num_pairs * ceil(h0) slots, so this cap is never below p*
+    return math.ceil(2.0 * h0) + num_pairs * max(1, math.ceil(h0))
 
 
 def checked_backlog(channel: ChannelModel, q) -> tuple[np.ndarray, float]:
@@ -227,58 +214,52 @@ def solve(
     A node with at least ``_KERNEL_MIN_CHILDREN`` children computes all their
     queues and f values in one NumPy pass over the matrix of per-action
     drains; narrower nodes loop in Python. Both give bitwise-equal queues and
-    f values, so the search is the same either way. Heap entries hold the
-    child's queue and parent; a node object is built only once it is popped.
+    f values, so the search is the same either way. A heap entry holds the
+    child's queue and its parent's entry, so the goal's entry chain is the
+    witness.
+
+    A search that pops f above ceil(2*h0) + N*max(1, ceil(h0)), with h0 the
+    root's bound before rounding, raises SizeLimitError. Serving one pair at a time
+    at its peak rate drains q0 in at most N*ceil(h0) slots, so the cap is
+    never below p*, and the guard can only fire on a broken search.
     """
     opts = options or SolverOptions()
     started = time.perf_counter()
 
     q0, eps = checked_backlog(channel, q0)
-    denom = _slot_drains(channel)
-    bound = _slot_bound(denom, eps)
-    q0_t = tuple(float(x) for x in q0)
-    h0 = bound(q0_t)  # raises if a pair with backlog can never transmit
+    den = _peak_drains(channel, q0, eps)  # raises if a pair with backlog can never transmit
 
     stats = SearchStats()
     if bool(np.all(q0 <= eps)):
         stats.wall_time = time.perf_counter() - started
         return Solution(p_star=0, actions=[], queue_trajectory=[q0.copy()], stats=stats)
 
+    hard_cap = _runaway_cap(float(_slots_left(q0, den, eps)), channel.num_pairs)
+    if not opts.use_heuristic:
+        den = np.full_like(den, math.inf)  # every bound is then 0
+    dens = den.tolist()
+
     if refined is None:
         refined = refined_power_set(channel)
     actions = refined.entries
     num_actions = len(actions)
     stats.refined_size = num_actions
-    dim = channel.num_pairs
     tau = channel.slot_duration
     taucap = [tuple(tau * r for r in e.rate) for e in actions]
     drain = np.array(taucap)
-    # the root check above leaves no backlog on a pair that cannot transmit,
-    # so an infinite denominator makes its column bound nothing
-    den = np.array([d if d > 0.0 else math.inf for d in denom])
 
-    use_h = opts.use_heuristic
-
-    def h_of(queue) -> float:
-        if not use_h:
-            return 0.0
-        best = bound(queue)
-        # true residual costs are integers, so the bound rounds up
-        return float(math.ceil(best - _CEIL_GUARD)) if best > 0.0 else 0.0
-
-    hard_cap = _runaway_cap(opts, h0, dim)
-
-    # heap entries: (f, -g, counter, queue, parent node, last action index)
-    heap = [(h_of(q0_t), 0, 0, q0_t, None, 0)]
+    # heap entries: (f, -g, counter, queue, parent entry, last action index);
+    # a popped entry is the node its children point back to
+    heap = [(float(_ceiled(_slots_left(q0, den, eps))), 0, 0, q0.tolist(), None, 0)]
     counter = 0
     expanded_queues: list[np.ndarray] | None = [] if opts.trace_expanded else None
 
-    goal: _Node | None = None
+    goal = None
     min_f_bound: float | None = None
 
     while heap:
-        f, neg_g, _, queue, parent, first = heapq.heappop(heap)
-        node = _Node(queue, -neg_g, parent, first)
+        node = heapq.heappop(heap)
+        f, neg_g, _, queue, parent, first = node
         if all(q <= eps for q in queue):
             goal = node
             break
@@ -298,25 +279,26 @@ def solve(
         width = num_actions - first
         stats.generated_nodes += width
         stats.pruned_nodes += first
-        child_g = node.g + 1
+        child_g = 1 - neg_g
         if width >= _KERNEL_MIN_CHILDREN:
             # np.maximum(q - d, 0) equals the loop's `q - d if q > d else 0.0`,
-            # and the ceiled row maximum equals h_of on every queue
+            # and the row bound equals the loop's scalar one
             clamped = np.maximum(np.array(queue) - drain[first:], 0.0)
-            queues = clamped.tolist()
-            if use_h:
-                best = ((clamped - eps) / den).max(axis=1)
-                fs = (child_g + np.maximum(np.ceil(best - _CEIL_GUARD), 0.0)).tolist()
-            else:
-                fs = [float(child_g)] * width
-            for ai, child_f, child_queue in zip(range(first, num_actions), fs, queues):
+            fs = (child_g + _ceiled(_slots_left(clamped, den, eps))).tolist()
+            for ai, child_f, child_queue in zip(range(first, num_actions), fs, clamped.tolist()):
                 counter += 1
                 heapq.heappush(heap, (child_f, -child_g, counter, child_queue, node, ai))
         else:
             for ai in range(first, num_actions):
                 child_queue = [q - d if q > d else 0.0 for q, d in zip(queue, taucap[ai])]
+                best = 0.0  # `_slots_left` of the child, inlined
+                for q, dn in zip(child_queue, dens):
+                    v = (q - eps) / dn
+                    if v > best:
+                        best = v
+                h = float(math.ceil(best - _CEIL_GUARD)) if best > 0.0 else 0.0
                 counter += 1
-                heapq.heappush(heap, (child_g + h_of(child_queue), -child_g, counter, child_queue, node, ai))
+                heapq.heappush(heap, (child_g + h, -child_g, counter, child_queue, node, ai))
 
     stats.wall_time = time.perf_counter() - started
 
@@ -336,14 +318,15 @@ def solve(
         )
 
     path = [goal]
-    while path[-1].parent is not None:
-        path.append(path[-1].parent)
+    while path[-1][4] is not None:
+        path.append(path[-1][4])
     path.reverse()
-    stats.ebf = _stats_ebf(stats.expanded_nodes, goal.g)
+    p_star = -goal[1]
+    stats.ebf = _stats_ebf(stats.expanded_nodes, p_star)
     return Solution(
-        p_star=goal.g,
-        actions=[actions[n.action].power for n in path[1:]],
-        queue_trajectory=[np.array(n.queue) for n in path],
+        p_star=p_star,
+        actions=[actions[n[5]].power for n in path[1:]],
+        queue_trajectory=[np.array(n[3]) for n in path],
         stats=stats,
         expanded_queues=expanded_queues,
     )

@@ -46,6 +46,21 @@ def test_invalid_parameters():
         FadingConfig(m=0.2)
     with pytest.raises(ValueError):
         FadingConfig(m=1.0, trials=0)
+    # non-finite settings, each named in the message
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must be finite"):
+            nakagami_power_gain(bad, 1.0, rng)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            nakagami_power_gain(1.0, bad, rng)
+        with pytest.raises(ValueError, match="m must be finite"):
+            FadingConfig(m=bad)
+        with pytest.raises(ValueError, match="mean_power_direct"):
+            FadingConfig(m=1.0, mean_power_direct=bad)
+        with pytest.raises(ValueError, match="mean_power_cross"):
+            FadingConfig(m=1.0, mean_power_cross=bad)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            ebf_experiment(FadingConfig(m=1.0, trials=1), jobs=jobs)
 
 
 def test_sample_channel_reproducible_and_positive():

@@ -221,6 +221,11 @@ def test_membership_beyond_peak(ex1):
 def test_membership_rejects_negative(ex1):
     with pytest.raises(ValueError):
         one_slot_membership(ex1, [-0.1, 0.0, 0.0])
+    # a target of the wrong length, or a non-finite one, is rejected too
+    with pytest.raises(ValueError, match="shape"):
+        one_slot_membership(ex1, [1.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        one_slot_membership(ex1, [float("nan"), 0.0, 0.0])
 
 
 @given(point_sets)

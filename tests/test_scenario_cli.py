@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fhtp import ScenarioError, parse_scenario, scenario_to_dict
+import fhtp
+from fhtp import ScenarioError, check_achievability, parse_scenario, scenario_to_dict
 from fhtp.cli import main
 
 from .conftest import SCENARIO_DIR
@@ -228,6 +233,39 @@ def test_cli_checks_float_range_on_post_gap_gains(tmp_path, capsys, gain, noise,
     assert main(["check", str(scenario)]) == code
 
 
+def test_short_horizon_does_not_trip_the_search_guard(tmp_path, capsys):
+    # T=1 is far below the root bound, so a guard capped by the horizon
+    # fell below p*=12 and stopped a valid search
+    doc = {
+        "num_pairs": 3,
+        "horizon": 1,
+        "slot_duration": 1.0,
+        "power_sets": [[0.0, 1.0]] * 3,
+        "noise": [0.1] * 3,
+        "gains": [[1.0, 5.0, 5.0], [5.0, 1.0, 5.0], [5.0, 5.0, 1.0]],
+        "target_rate": [13.7] * 3,
+    }
+    scenario = parse_scenario(json.dumps(doc))
+    report = check_achievability(scenario.channel(), scenario.target_rate, scenario.horizon)
+    assert (report.achievable, report.p_star) == (False, 12)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert json.loads(out)["p_star"] == 12
+
+
+def test_import_does_not_load_process_pools():
+    # the process pool is imported only by a parallel Monte Carlo run
+    code = (
+        "import sys, fhtp; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fhtp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_missing_file(capsys):
     assert main(["check", "/nonexistent/nope.json"]) == 65
 
@@ -298,3 +336,20 @@ def test_cli_montecarlo_env_seed_override(capsys, monkeypatch):
     _, seed_1 = run_cli(capsys, *argv)
     assert deterministic_columns(with_env) == deterministic_columns(seed_99)
     assert deterministic_columns(with_env) != deterministic_columns(seed_1)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--m", "nan", "shape m"),
+        ("--m", "inf", "shape m"),
+        ("--omega-direct", "nan", "mean_power_direct"),
+        ("--omega-cross", "inf", "mean_power_cross"),
+        ("--jobs", "-2", "jobs"),
+        ("--jobs", "0", "jobs"),
+    ],
+)
+def test_cli_montecarlo_rejects_bad_settings(capsys, flag, value, field):
+    argv = ["montecarlo", str(SCENARIO_DIR / "example1.json"), "--m", "1", "--trials", "2"]
+    assert main(argv + [flag, value]) == 64
+    assert field in capsys.readouterr().err

@@ -66,7 +66,7 @@ def test_heuristic_degenerate_pair_with_backlog():
 
 
 def test_solve_example1(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
+    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
     assert solution.p_star == 5
     assert len(solution.actions) == 5
     assert solution.stats.refined_size == len(refined_power_set(ex1)) == 7
@@ -84,7 +84,7 @@ def test_solve_example1(ex1):
 
 
 def test_solve_example2_exhaustive(ex2):
-    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
+    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions())
     assert solution.p_star == 8
     s = solution.stats
     assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (784, 1627, 3868)
@@ -98,13 +98,13 @@ def test_solve_zero_queue(ex1):
 
 
 def test_solve_cutoff_certificate(ex2):
-    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5, horizon=5))
+    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5))
     assert solution.p_star is None
     assert solution.min_f_bound == 6
     s = solution.stats
     assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (77, 209, 337)
     # the cutoff run must do less work than the exhaustive one
-    exhaustive = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
+    exhaustive = solve(ex2, [5.0, 5.0, 5.0], SolverOptions())
     assert solution.stats.expanded_nodes <= exhaustive.stats.expanded_nodes
 
 
@@ -128,7 +128,7 @@ def test_solve_infeasible_degenerate_pair():
 
 
 def test_queue_monotone_along_trajectory(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
+    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
     traj = solution.queue_trajectory
     for before, after in zip(traj, traj[1:]):
         assert np.all(after <= before)
@@ -242,7 +242,7 @@ def test_wide_node_kernel_matches_scalar_loop(monkeypatch, corpus, ex1, ex2):
 
 
 def test_cutoff_at_exactly_the_optimum_still_finds_it(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5, horizon=5))
+    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5))
     assert solution.p_star == 5
 
 
@@ -253,8 +253,8 @@ def test_solve_with_zero_backlog_component(ex1):
 
 
 def test_solve_deterministic(ex1):
-    a = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
-    b = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(horizon=5))
+    a = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
+    b = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
     assert a.actions == b.actions
     assert a.stats.expanded_nodes == b.stats.expanded_nodes
     assert a.stats.generated_nodes == b.stats.generated_nodes
