@@ -45,7 +45,6 @@ from .scenario import Scenario, parse_scenario, scenario_from_dict, scenario_to_
 from .solver import (
     SearchStats,
     Solution,
-    SolverOptions,
     effective_branching_factor,
     heuristic,
     queue_update,
@@ -72,7 +71,6 @@ __all__ = [
     "SearchStats",
     "SizeLimitError",
     "Solution",
-    "SolverOptions",
     "VerificationReport",
     "brute_force_min_time",
     "capacity_set",

@@ -17,7 +17,6 @@ import numpy as np
 from .channel import ChannelModel
 from .errors import InfeasibleError, SizeLimitError
 from .policy import check_achievability
-from .solver import SolverOptions
 
 
 def _check_shape(m: float, name: str) -> None:
@@ -109,13 +108,11 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_trial(args) -> tuple[str, float, float, float, int]:
-    config, index, options = args
+    config, index = args
     rng = _trial_rng(config.seed, index)
     channel = sample_channel(config, rng)
     try:
-        report = check_achievability(
-            channel, config.target_rate, config.horizon, cutoff=True, options=options
-        )
+        report = check_achievability(channel, config.target_rate, config.horizon, cutoff=True)
     except (InfeasibleError, SizeLimitError):
         return ("failed", 0.0, 0.0, 0.0, 0)
     s = report.stats
@@ -124,11 +121,7 @@ def _run_trial(args) -> tuple[str, float, float, float, int]:
     return ("solved", s.ebf, float(s.expanded_nodes), s.wall_time * 1e3, s.refined_size)
 
 
-def ebf_experiment(
-    config: FadingConfig,
-    jobs: int = 1,
-    solver_options: SolverOptions | None = None,
-) -> EbfStats:
+def ebf_experiment(config: FadingConfig, jobs: int = 1) -> EbfStats:
     """Average branching factor and node counts over ``config.trials`` draws.
 
     Only trials where the target is achievable enter the averages; draws where
@@ -137,7 +130,7 @@ def ebf_experiment(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    work = [(config, i, solver_options) for i in range(config.trials)]
+    work = [(config, i) for i in range(config.trials)]
     if jobs > 1:
         # imported here: multiprocessing is a noticeable share of `import fhtp`
         from concurrent.futures import ProcessPoolExecutor

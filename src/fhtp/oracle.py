@@ -36,18 +36,15 @@ def brute_force_min_time(
     q0,
     depth_cap: int,
     use_refined: bool = True,
-    goal_eps: float | None = None,
 ) -> OracleResult:
     """Exhaustive minimum-slot search up to ``depth_cap`` slots.
 
     Deepens one slot at a time, so the first sequence found is minimal.
     Refuses instances where the full tree would pass the node guard.
     """
-    q0, tolerance = checked_backlog(channel, q0)
+    q0, eps = checked_backlog(channel, q0)
     if depth_cap < 0:
         raise ValueError("depth cap must be nonnegative")
-    if goal_eps is None:
-        goal_eps = tolerance
 
     actions = _action_table(channel, use_refined)
     if len(actions) ** max(depth_cap, 1) > NODE_GUARD:
@@ -60,7 +57,7 @@ def brute_force_min_time(
     explored = 0
 
     def drained(q) -> bool:
-        return all(x <= goal_eps for x in q)
+        return all(x <= eps for x in q)
 
     if drained(start):
         return OracleResult(p_star=0, witness_actions=[], explored_nodes=0)
@@ -93,11 +90,9 @@ def brute_force_min_time(
     return OracleResult(p_star=None, witness_actions=[], explored_nodes=explored)
 
 
-def residual_cost(
-    channel: ChannelModel, q, depth_cap: int, goal_eps: float | None = None
-) -> int:
+def residual_cost(channel: ChannelModel, q, depth_cap: int) -> int:
     """Exact number of slots still needed to drain q (refined actions)."""
-    result = brute_force_min_time(channel, q, depth_cap, use_refined=True, goal_eps=goal_eps)
+    result = brute_force_min_time(channel, q, depth_cap)
     if result.p_star is None:
         raise SizeLimitError(f"residual cost exceeds the depth cap {depth_cap}")
     return result.p_star

@@ -11,13 +11,13 @@ plainly achievable, which is the point of the comparison report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelModel, PowerVector
 from .region import refined_power_set
-from .solver import SearchStats, Solution, SolverOptions, checked_backlog, queue_update, solve
+from .solver import SearchStats, Solution, checked_backlog, queue_update, solve
 
 AVERAGE_RTOL = 1e-6
 CAPACITY_SLACK = 1e-9
@@ -41,7 +41,8 @@ class Policy:
 @dataclass
 class VerificationReport:
     ok: bool
-    check: str | None = None  # 'finite' | 'capacity' | 'average' | 'nonnegative'
+    # 'slots' | 'shape' | 'finite' | 'power' | 'capacity' | 'average' | 'nonnegative'
+    check: str | None = None
     slot: int | None = None  # 1-based slot of the first violation
     component: int | None = None
     detail: str = ""
@@ -78,6 +79,8 @@ def _zero_power(channel: ChannelModel) -> PowerVector:
 
 def _target_backlog(channel: ChannelModel, mu, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Target mu as an array, and the backlog tau*horizon*mu that meeting it drains."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     mu = np.asarray(mu, dtype=float)
@@ -120,17 +123,49 @@ def verify_policy(
 ) -> VerificationReport:
     """Check a policy against its contract and report the first violation.
 
-    Checks, in order: every slot rate and target component being finite,
-    every slot rate within the capacity of its power vector (plus a small
-    absolute slack for subtraction chains), the average rate matching the
-    target to ``rel_tol``, and slot rates being nonnegative.
+    Checks, in order: one slot per step of a horizon of at least 1, one
+    target component per pair; then slot by slot, one rate and one power
+    level per pair, every rate finite and every level from its pair's power
+    set; then every target component being finite, every slot rate within
+    the capacity of its power vector (plus a small absolute slack for
+    subtraction chains), the average rate matching the target to
+    ``rel_tol``, and slot rates being nonnegative.
     """
     n = channel.num_pairs
-    for t, (rate, _) in enumerate(policy.pairs):
+    if policy.horizon < 1 or len(policy.pairs) != policy.horizon:
+        return VerificationReport(
+            ok=False, check="slots", detail=f"{len(policy.pairs)} slots for horizon {policy.horizon!r}"
+        )
+    if len(policy.target) != n:
+        return VerificationReport(
+            ok=False, check="shape", detail=f"target has {len(policy.target)} entries, expected {n}"
+        )
+    levels = [set(s) for s in channel.power_sets]
+    for t, (rate, power) in enumerate(policy.pairs):
+        if len(rate) != n:
+            return VerificationReport(
+                ok=False, check="shape", slot=t + 1, detail=f"rate has {len(rate)} entries, expected {n}"
+            )
+        if len(power) != n:
+            return VerificationReport(
+                ok=False,
+                check="power",
+                slot=t + 1,
+                component=min(len(power), n),  # first missing or extra level
+                detail=f"power vector has {len(power)} entries, expected {n}",
+            )
         for j in range(n):
             if not math.isfinite(rate[j]):
                 return VerificationReport(
                     ok=False, check="finite", slot=t + 1, component=j, detail=f"rate {rate[j]!r}"
+                )
+            if power[j] not in levels[j]:
+                return VerificationReport(
+                    ok=False,
+                    check="power",
+                    slot=t + 1,
+                    component=j,
+                    detail=f"power {power[j]!r} is not a level of pair {j}",
                 )
     for j in range(n):
         if not math.isfinite(policy.target[j]):
@@ -177,7 +212,6 @@ def check_achievability(
     horizon: int,
     *,
     cutoff: bool = False,
-    options: SolverOptions | None = None,
 ) -> AchievabilityReport:
     """Decide whether average rate mu is reachable within ``horizon`` slots.
 
@@ -186,8 +220,7 @@ def check_achievability(
     the horizon, without computing the exact minimum.
     """
     mu, q0 = _target_backlog(channel, mu, horizon)
-    opts = replace(options or SolverOptions(), depth_cap=horizon if cutoff else None)
-    solution = solve(channel, q0, opts)
+    solution = solve(channel, q0, horizon if cutoff else None)
     if solution.p_star is None:
         # g plus a ceiled bound: integral, and above the horizon once the cutoff fires
         bound = int(solution.min_f_bound)

@@ -10,16 +10,16 @@ overestimates the true remaining slot count.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .channel import ChannelModel, PowerVector
 from .errors import InfeasibleError, SizeLimitError
-from .region import RefinedPowerSet, refined_power_set
+from .region import refined_power_set
 
 GOAL_EPS_FACTOR = 1e-9
 # slack subtracted before ceil() so a half-ulp overshoot of an exactly-integer
@@ -31,19 +31,6 @@ _CEIL_GUARD = 1e-9
 # the loop: with the kernel on every node, 3-pair A* (at most 7 children per
 # node) took twice as long per decision.
 _KERNEL_MIN_CHILDREN = 9
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for one solve run; the defaults reproduce the full algorithm.
-
-    The runaway guard takes no knob: its cap comes from q0 alone and is never
-    below p* (see `solve`), whatever the scheduling horizon.
-    """
-
-    depth_cap: int | None = None  # certify "needs more than this many slots" and stop
-    use_heuristic: bool = True  # False degrades to uniform-cost search
-    trace_expanded: bool = False  # record the queue of every expanded node
 
 
 @dataclass
@@ -71,7 +58,6 @@ class Solution:
     queue_trajectory: list[np.ndarray]
     stats: SearchStats
     min_f_bound: float | None = None
-    expanded_queues: list[np.ndarray] | None = None
 
 
 def queue_update(q, c, tau: float) -> np.ndarray:
@@ -192,13 +178,7 @@ def checked_backlog(channel: ChannelModel, q) -> tuple[np.ndarray, float]:
     return q, GOAL_EPS_FACTOR * max(1.0, float(np.max(q)))
 
 
-def solve(
-    channel: ChannelModel,
-    q0,
-    options: SolverOptions | None = None,
-    *,
-    refined: RefinedPowerSet | None = None,
-) -> Solution:
+def solve(channel: ChannelModel, q0, depth_cap: int | None = None) -> Solution:
     """Minimum number of slots that drains backlog q0, plus a witness schedule.
 
     A* over action multisets: slots commute, so a node is expanded only
@@ -210,6 +190,10 @@ def solve(
     pushes. The heuristic is admissible on the queue, so the sorted prefix of
     an optimal multiset that sits on the open list has f <= p*, and the
     search stays exact.
+
+    With ``depth_cap`` set, the search stops at the first pop with f above
+    the cap and returns ``p_star=None`` with that f as ``min_f_bound``: a
+    certificate that draining q0 needs more than ``depth_cap`` slots.
 
     A node with at least ``_KERNEL_MIN_CHILDREN`` children computes all their
     queues and f values in one NumPy pass over the matrix of per-action
@@ -223,7 +207,6 @@ def solve(
     at its peak rate drains q0 in at most N*ceil(h0) slots, so the cap is
     never below p*, and the guard can only fire on a broken search.
     """
-    opts = options or SolverOptions()
     started = time.perf_counter()
 
     q0, eps = checked_backlog(channel, q0)
@@ -235,13 +218,9 @@ def solve(
         return Solution(p_star=0, actions=[], queue_trajectory=[q0.copy()], stats=stats)
 
     hard_cap = _runaway_cap(float(_slots_left(q0, den, eps)), channel.num_pairs)
-    if not opts.use_heuristic:
-        den = np.full_like(den, math.inf)  # every bound is then 0
     dens = den.tolist()
 
-    if refined is None:
-        refined = refined_power_set(channel)
-    actions = refined.entries
+    actions = refined_power_set(channel).entries
     num_actions = len(actions)
     stats.refined_size = num_actions
     tau = channel.slot_duration
@@ -252,18 +231,17 @@ def solve(
     # a popped entry is the node its children point back to
     heap = [(float(_ceiled(_slots_left(q0, den, eps))), 0, 0, q0.tolist(), None, 0)]
     counter = 0
-    expanded_queues: list[np.ndarray] | None = [] if opts.trace_expanded else None
 
     goal = None
     min_f_bound: float | None = None
 
     while heap:
-        node = heapq.heappop(heap)
+        node = heappop(heap)
         f, neg_g, _, queue, parent, first = node
         if all(q <= eps for q in queue):
             goal = node
             break
-        if opts.depth_cap is not None and f > opts.depth_cap:
+        if depth_cap is not None and f > depth_cap:
             min_f_bound = f
             break
         if f > hard_cap:
@@ -273,8 +251,6 @@ def solve(
 
         if parent is not None:
             stats.expanded_nodes += 1
-        if expanded_queues is not None:
-            expanded_queues.append(np.array(queue))
 
         width = num_actions - first
         stats.generated_nodes += width
@@ -287,7 +263,7 @@ def solve(
             fs = (child_g + _ceiled(_slots_left(clamped, den, eps))).tolist()
             for ai, child_f, child_queue in zip(range(first, num_actions), fs, clamped.tolist()):
                 counter += 1
-                heapq.heappush(heap, (child_f, -child_g, counter, child_queue, node, ai))
+                heappush(heap, (child_f, -child_g, counter, child_queue, node, ai))
         else:
             for ai in range(first, num_actions):
                 child_queue = [q - d if q > d else 0.0 for q, d in zip(queue, taucap[ai])]
@@ -298,7 +274,7 @@ def solve(
                         best = v
                 h = float(math.ceil(best - _CEIL_GUARD)) if best > 0.0 else 0.0
                 counter += 1
-                heapq.heappush(heap, (child_g + h, -child_g, counter, child_queue, node, ai))
+                heappush(heap, (child_g + h, -child_g, counter, child_queue, node, ai))
 
     stats.wall_time = time.perf_counter() - started
 
@@ -307,14 +283,13 @@ def solve(
             # frontier exhausted without reaching the goal: with every pair
             # able to transmit this cannot happen, so treat it as a guard trip
             raise SizeLimitError("search frontier exhausted before the queue drained")
-        stats.ebf = _stats_ebf(stats.expanded_nodes, opts.depth_cap)
+        stats.ebf = _stats_ebf(stats.expanded_nodes, depth_cap)
         return Solution(
             p_star=None,
             actions=[],
             queue_trajectory=[q0.copy()],
             stats=stats,
             min_f_bound=min_f_bound,
-            expanded_queues=expanded_queues,
         )
 
     path = [goal]
@@ -328,5 +303,4 @@ def solve(
         actions=[actions[n[5]].power for n in path[1:]],
         queue_trajectory=[np.array(n[3]) for n in path],
         stats=stats,
-        expanded_queues=expanded_queues,
     )

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import heapq
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fhtp import ChannelModel, RefinedPowerSet, brute_force_min_time, refined_power_set
+from fhtp import ChannelModel, RefinedPowerSet, brute_force_min_time, refined_power_set, solver
 from fhtp.solver import GOAL_EPS_FACTOR
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -109,3 +110,22 @@ def tolerance_edge_instances():
 def corpus() -> list[Instance]:
     rng = np.random.default_rng(CORPUS_SEED)
     return [random_instance(rng) for _ in range(CORPUS_SIZE)]
+
+
+def solve_traced(monkeypatch, channel, q0, depth_cap=None):
+    """`solve`, plus the queue of every node it expanded, root first.
+
+    Records each heap pop of the search. The last pop is the goal, or the
+    entry past the depth cap, and is not expanded, so it is left out.
+    """
+    popped = []
+
+    def traced_pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(np.array(entry[3]))  # heap entry: (f, -g, counter, queue, ...)
+        return entry
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "heappop", traced_pop)
+        solution = solver.solve(channel, q0, depth_cap)
+    return solution, popped[:-1]

@@ -13,7 +13,6 @@ from fhtp import (
     Policy,
     SearchStats,
     Solution,
-    SolverOptions,
     brute_force_min_time,
     capacity_set,
     check_achievability,
@@ -30,7 +29,13 @@ from fhtp import (
     solve,
     verify_policy,
 )
-from .conftest import ORACLE_CAP, TOLERANCE_EDGE_SIZE, random_channel, tolerance_edge_instances
+from .conftest import (
+    ORACLE_CAP,
+    TOLERANCE_EDGE_SIZE,
+    random_channel,
+    solve_traced,
+    tolerance_edge_instances,
+)
 
 PUBLISHED_ACTIONS = [
     (2.0, 0.0, 0.0),
@@ -126,7 +131,7 @@ def test_criterion_2_unachievable_example(ex2):
 def test_criterion_3_solver_matches_oracle(corpus):
     mismatches = 0
     for inst in corpus:
-        if solve(inst.channel, inst.q0, refined=inst.refined).p_star != inst.oracle_p:
+        if solve(inst.channel, inst.q0).p_star != inst.oracle_p:
             mismatches += 1
     ok = mismatches == 0
     _report(
@@ -141,7 +146,7 @@ def test_criterion_3_tolerance_edge_matches_oracle():
     mismatches = 0
     for channel, refined, q0 in tolerance_edge_instances():
         oracle = brute_force_min_time(channel, q0, ORACLE_CAP).p_star
-        if oracle is None or solve(channel, q0, refined=refined).p_star != oracle:
+        if oracle is None or solve(channel, q0).p_star != oracle:
             mismatches += 1
     ok = mismatches == 0
     _report(
@@ -152,19 +157,14 @@ def test_criterion_3_tolerance_edge_matches_oracle():
     )
 
 
-def test_criterion_4_admissibility_and_consistency(corpus):
+def test_criterion_4_admissibility_and_consistency(monkeypatch, corpus):
     h_violations = 0
     c_violations = 0
     nodes = 0
     for inst in corpus:
-        solution = solve(
-            inst.channel,
-            inst.q0,
-            SolverOptions(trace_expanded=True),
-            refined=inst.refined,
-        )
+        _, expanded = solve_traced(monkeypatch, inst.channel, inst.q0)
         tau = inst.channel.slot_duration
-        for q in solution.expanded_queues:
+        for q in expanded:
             nodes += 1
             h = heuristic(inst.channel, q)
             if h > residual_cost(inst.channel, q, inst.oracle_p):

@@ -5,7 +5,6 @@ import pytest
 
 from fhtp import (
     FadingConfig,
-    SolverOptions,
     ebf_experiment,
     nakagami_power_gain,
     refined_power_set,
@@ -122,11 +121,4 @@ def test_ebf_accounting_matches_plain_solve():
     direct = solve(channel, [5.0, 5.0, 5.0])
     assert report.stats.ebf == direct.stats.ebf
     assert report.stats.expanded_nodes == direct.stats.expanded_nodes
-
-
-def test_uninformed_search_expands_at_least_as_much():
-    config = FadingConfig(m=3.0, **SMALL)
-    informed = ebf_experiment(config)
-    uninformed = ebf_experiment(config, solver_options=SolverOptions(use_heuristic=False))
-    assert uninformed.avg_expanded >= informed.avg_expanded
 

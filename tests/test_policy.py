@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fhtp import (
     ChannelModel,
+    Policy,
     refined_power_set,
     SearchStats,
     Solution,
@@ -17,6 +18,7 @@ from fhtp import (
     solve,
     verify_policy,
 )
+from fhtp import policy as policy_module
 
 # power sequence published for the first worked example, and the slot rates it
 # implies through the queue recursion (slot 5 pair 2 carries 0.2465, the only
@@ -235,3 +237,55 @@ def test_max_weight_argmax_scale_invariant(q1, q2, scale):
     pick = max_weight_policy(channel, q, 1).policy.pairs[0][1]
     pick_scaled = max_weight_policy(channel, scale * q, 1).policy.pairs[0][1]
     assert pick == pick_scaled
+
+
+def test_verify_policy_flags_wrong_slot_count(ex1):
+    good = check_achievability(ex1, [1.0, 1.0, 1.0], 5).policy
+    halves = []
+    for rate, power in good.pairs:
+        half = tuple(r / 2.0 for r in rate)
+        halves += [(half, power), (half, power)]
+    # same average over 5 steps, but 10 slots do not fit a horizon of 5
+    split = Policy(pairs=tuple(halves), horizon=5, target=good.target)
+    report = verify_policy(ex1, split)
+    assert (report.ok, report.check, report.slot) == (False, "slots", None)
+    empty = Policy(pairs=(), horizon=0, target=(0.0, 0.0, 0.0))
+    assert verify_policy(ex1, empty).check == "slots"
+
+
+def test_verify_policy_flags_power_outside_the_level_set(ex1):
+    power = (2.5, 0.0, 0.0)  # ex1 offers only levels {0, 2}
+    rate = tuple(float(c) for c in ex1.capacity_vector(power))
+    assert not check_achievability(ex1, rate, 1).achievable
+    report = verify_policy(ex1, Policy(pairs=((rate, power),), horizon=1, target=rate))
+    assert (report.ok, report.check, report.slot, report.component) == (False, "power", 1, 0)
+    short = Policy(pairs=(((0.0, 0.0, 0.0), (0.0, 0.0)),), horizon=1, target=(0.0, 0.0, 0.0))
+    report = verify_policy(ex1, short)
+    assert (report.ok, report.check, report.slot, report.component) == (False, "power", 1, 2)
+
+
+def test_verify_policy_flags_wrong_length_target_and_rate(ex1):
+    idle = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    report = verify_policy(ex1, Policy(pairs=(idle,), horizon=1, target=(0.0, 0.0)))
+    assert (report.ok, report.check, report.slot) == (False, "shape", None)
+    narrow = (((0.0, 0.0), (0.0, 0.0, 0.0)),)
+    report = verify_policy(ex1, Policy(pairs=narrow, horizon=1, target=(0.0, 0.0, 0.0)))
+    assert (report.ok, report.check, report.slot) == (False, "shape", 1)
+
+
+@pytest.mark.parametrize("horizon", [5.5, 5.0, True, "5"])
+def test_non_integer_horizon_rejected_before_search(monkeypatch, ex1, horizon):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran on a non-integer horizon")
+
+    monkeypatch.setattr(policy_module, "solve", no_search)
+    with pytest.raises(ValueError, match="integer"):
+        check_achievability(ex1, [1.0, 1.0, 1.0], horizon)
+    with pytest.raises(ValueError, match="integer"):
+        max_weight_policy(ex1, [1.0, 1.0, 1.0], horizon)
+
+
+def test_numpy_integer_horizon_accepted(ex1):
+    report = check_achievability(ex1, [1.0, 1.0, 1.0], np.int64(5))
+    assert report.achievable and report.p_star == 5
+    assert len(max_weight_policy(ex1, [1.0, 1.0, 1.0], np.int32(5)).policy.pairs) == 5

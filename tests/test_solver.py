@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fhtp import (
     ChannelModel,
     InfeasibleError,
-    SolverOptions,
     brute_force_min_time,
     effective_branching_factor,
     heuristic,
@@ -18,7 +17,7 @@ from fhtp import (
     solver,
 )
 
-from .conftest import random_channel, tolerance_edge_instances
+from .conftest import random_channel, solve_traced, tolerance_edge_instances
 
 
 def test_queue_update_partial_drain(ex1):
@@ -66,7 +65,7 @@ def test_heuristic_degenerate_pair_with_backlog():
 
 
 def test_solve_example1(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
+    solution = solve(ex1, [5.0, 5.0, 5.0])
     assert solution.p_star == 5
     assert len(solution.actions) == 5
     assert solution.stats.refined_size == len(refined_power_set(ex1)) == 7
@@ -84,7 +83,7 @@ def test_solve_example1(ex1):
 
 
 def test_solve_example2_exhaustive(ex2):
-    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions())
+    solution = solve(ex2, [5.0, 5.0, 5.0])
     assert solution.p_star == 8
     s = solution.stats
     assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (784, 1627, 3868)
@@ -98,13 +97,13 @@ def test_solve_zero_queue(ex1):
 
 
 def test_solve_cutoff_certificate(ex2):
-    solution = solve(ex2, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5))
+    solution = solve(ex2, [5.0, 5.0, 5.0], depth_cap=5)
     assert solution.p_star is None
     assert solution.min_f_bound == 6
     s = solution.stats
     assert (s.expanded_nodes, s.generated_nodes, s.pruned_nodes) == (77, 209, 337)
     # the cutoff run must do less work than the exhaustive one
-    exhaustive = solve(ex2, [5.0, 5.0, 5.0], SolverOptions())
+    exhaustive = solve(ex2, [5.0, 5.0, 5.0])
     assert solution.stats.expanded_nodes <= exhaustive.stats.expanded_nodes
 
 
@@ -128,21 +127,10 @@ def test_solve_infeasible_degenerate_pair():
 
 
 def test_queue_monotone_along_trajectory(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
+    solution = solve(ex1, [5.0, 5.0, 5.0])
     traj = solution.queue_trajectory
     for before, after in zip(traj, traj[1:]):
         assert np.all(after <= before)
-
-
-def test_pruning_and_heuristic_toggles_preserve_optimum():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        channel = random_channel(rng)
-        refined = refined_power_set(channel)
-        picks = rng.integers(0, len(refined), 3)
-        q0 = 0.8 * np.sum([refined.entries[i].rate for i in picks], axis=0)
-        base = solve(channel, q0).p_star
-        assert solve(channel, q0, SolverOptions(use_heuristic=False)).p_star == base
 
 
 def test_solver_matches_oracle_with_nonunit_slot_duration():
@@ -185,7 +173,7 @@ def test_solver_matches_oracle_on_wide_action_sets():
     widest = 0
     for channel, refined, q0 in _wide_instances():
         widest = max(widest, len(refined))
-        assert solve(channel, q0, refined=refined).p_star == brute_force_min_time(channel, q0, 3).p_star
+        assert solve(channel, q0).p_star == brute_force_min_time(channel, q0, 3).p_star
     assert widest > 50
 
 
@@ -198,7 +186,7 @@ def test_each_action_multiset_generated_once(ex1, ex2):
         *_wide_instances(),
     ]
     for channel, refined, q0 in instances:
-        solution = solve(channel, q0, refined=refined)
+        solution = solve(channel, q0)
         s = solution.stats
         assert solution.p_star >= 1
         assert s.generated_nodes + s.pruned_nodes == s.refined_size * (s.expanded_nodes + 1)
@@ -206,7 +194,7 @@ def test_each_action_multiset_generated_once(ex1, ex2):
         assert indices == sorted(indices)
 
 
-def _search_record(solution):
+def _search_record(solution, expanded):
     s = solution.stats
     return (
         solution.p_star,
@@ -214,35 +202,34 @@ def _search_record(solution):
         solution.min_f_bound,
         solution.actions,
         [q.tobytes() for q in solution.queue_trajectory],
-        [q.tobytes() for q in solution.expanded_queues],
+        [q.tobytes() for q in expanded],
     )
 
 
 def test_wide_node_kernel_matches_scalar_loop(monkeypatch, corpus, ex1, ex2):
     # the NumPy pass over a node's children and the per-child loop must give
     # bitwise-equal queues and f values, hence the same search
-    traced = SolverOptions(trace_expanded=True)
-    cases = [(inst.channel, inst.refined, inst.q0, traced) for inst in corpus]
-    cases += [(channel, refined, q0, traced) for channel, refined, q0 in tolerance_edge_instances()]
-    cases += [(channel, refined, q0, traced) for channel, refined, q0 in _wide_instances()]
-    cases += [
-        (ex1, refined_power_set(ex1), [5.0, 5.0, 5.0], SolverOptions(use_heuristic=False, trace_expanded=True)),
-        (ex2, refined_power_set(ex2), [5.0, 5.0, 5.0], SolverOptions(depth_cap=5, trace_expanded=True)),
-    ]
+    cases = [(inst.channel, inst.refined, inst.q0, None) for inst in corpus]
+    cases += [(channel, refined, q0, None) for channel, refined, q0 in tolerance_edge_instances()]
+    cases += [(channel, refined, q0, None) for channel, refined, q0 in _wide_instances()]
+    cases.append((ex2, refined_power_set(ex2), [5.0, 5.0, 5.0], 5))
+    # the second pair has no positive level, so its peak drain is infinite in both paths
+    mute = ChannelModel(gains=ex1.gains, noise=ex1.noise, power_sets=((0.0, 2.0), (0.0,), (0.0, 1.0, 2.0)))
+    cases.append((mute, refined_power_set(mute), [5.0, 0.0, 5.0], None))
     # a backlog past the drain tolerance by 1e-11 more than two peak slots:
     # only the ceiling guard keeps h at 2, which the depth-2 cap exposes
     q0 = [(2.0 * math.log2(11.0) + 1e-11) / (1.0 - solver.GOAL_EPS_FACTOR), 0.0, 0.0]
-    cases.append((ex1, refined_power_set(ex1), q0, SolverOptions(depth_cap=2, trace_expanded=True)))
-    for channel, refined, q0, options in cases:
+    cases.append((ex1, refined_power_set(ex1), q0, 2))
+    for channel, refined, q0, depth_cap in cases:
         records = []
         for threshold in (1, len(refined) + 1):  # kernel on every node, then on none
             monkeypatch.setattr(solver, "_KERNEL_MIN_CHILDREN", threshold)
-            records.append(_search_record(solve(channel, q0, options, refined=refined)))
+            records.append(_search_record(*solve_traced(monkeypatch, channel, q0, depth_cap)))
         assert records[0] == records[1]
 
 
 def test_cutoff_at_exactly_the_optimum_still_finds_it(ex1):
-    solution = solve(ex1, [5.0, 5.0, 5.0], SolverOptions(depth_cap=5))
+    solution = solve(ex1, [5.0, 5.0, 5.0], depth_cap=5)
     assert solution.p_star == 5
 
 
@@ -253,8 +240,8 @@ def test_solve_with_zero_backlog_component(ex1):
 
 
 def test_solve_deterministic(ex1):
-    a = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
-    b = solve(ex1, [5.0, 5.0, 5.0], SolverOptions())
+    a = solve(ex1, [5.0, 5.0, 5.0])
+    b = solve(ex1, [5.0, 5.0, 5.0])
     assert a.actions == b.actions
     assert a.stats.expanded_nodes == b.stats.expanded_nodes
     assert a.stats.generated_nodes == b.stats.generated_nodes
