@@ -33,6 +33,15 @@ class ChannelModel:
     interference terms. Any SNR-gap factor is expected to be divided into the
     diagonal before construction (the model stores post-gap gains only).
 
+    Construction is the one place that decides whether a channel is valid:
+    every value finite; N >= 1 pairs with N x N ``gains`` and N power sets;
+    ``noise[n] > 0``, ``gains[m][n] >= 0``, ``gains[n][n] > 0`` and
+    ``slot_duration > 0``; power levels >= 0, with 0 in every power set; and
+    in float range, each received power ``sum_m gains[m][n] *
+    max(power_sets[m])`` and peak SINR ``gains[n][n] * max(power_sets[n]) /
+    noise[n]`` finite. A broken rule raises ValueError naming the field, as
+    in ``noise[1]``, ``gains[0][2]`` or ``power_sets[2]``.
+
     Instances are immutable and safe to share between concurrent solver runs;
     every method here is a pure function of its arguments.
     """
@@ -67,19 +76,29 @@ class ChannelModel:
             raise ValueError(f"gains must be {n}x{n} to match noise length {n}")
         if len(power_sets) != n:
             raise ValueError(f"expected {n} power sets, got {len(power_sets)}")
-        if any(w <= 0 for w in noise):
-            raise ValueError("noise powers must be strictly positive")
-        if any(g < 0 for row in gains for g in row):
-            raise ValueError("gains must be nonnegative")
-        if any(gains[i][i] <= 0 for i in range(n)):
-            raise ValueError("diagonal (desired-link) gains must be positive")
+        for i, w in enumerate(noise):
+            if w <= 0:
+                raise ValueError(f"noise[{i}] must be > 0, got {w!r}")
+        for m, row in enumerate(gains):
+            for k, g in enumerate(row):
+                if g < 0 or (m == k and g == 0):
+                    bound = "> 0 (desired link)" if m == k else ">= 0"
+                    raise ValueError(f"gains[{m}][{k}] must be {bound}, got {g!r}")
         for i, s in enumerate(power_sets):
+            if s and s[0] < 0:
+                raise ValueError(f"power_sets[{i}] has a negative level {s[0]!r}")
             if 0.0 not in s:
-                raise ValueError(f"power set {i} must contain 0 (no-transmission)")
-            if any(p < 0 for p in s):
-                raise ValueError(f"power set {i} has a negative level")
+                raise ValueError(f"power_sets[{i}] must contain the level 0 (no transmission)")
         if self.slot_duration <= 0:
-            raise ValueError("slot duration must be positive")
+            raise ValueError(f"slot_duration must be > 0, got {self.slot_duration!r}")
+        # Python floats overflow to inf without the warning NumPy would give;
+        # the terms are nonnegative, so a sum overflows if any term does
+        peak = [s[-1] for s in power_sets]
+        for r in range(n):
+            if not math.isfinite(sum(gains[m][r] * peak[m] for m in range(n))):
+                raise ValueError(f"received power at receiver {r} overflows")
+            if not math.isfinite(gains[r][r] * peak[r] / noise[r]):
+                raise ValueError(f"peak SINR of pair {r} overflows")
 
         object.__setattr__(self, "_gain_arr", np.array(gains, dtype=float))
         object.__setattr__(self, "_noise_arr", np.array(noise, dtype=float))

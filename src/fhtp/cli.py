@@ -7,7 +7,7 @@ subcommands, with all floats printed to 6 significant digits.
 
 Exit codes: 0 success (for ``check``: achievable), 2 target provably
 unachievable, 64 usage error, 65 malformed scenario, 70 a size guard or
-feasibility guard tripped.
+feasibility guard tripped, 73 the ``--out`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ EXIT_UNACHIEVABLE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_GUARD = 70
+EXIT_CANTCREAT = 73
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -69,8 +74,11 @@ def _round6(obj):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -83,9 +91,9 @@ def _emit_json(payload: dict, out: str | None):
 
 def _load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     return parse_scenario(text)
 
@@ -236,6 +244,8 @@ def _parse_m_list(text: str) -> list[float]:
 
 def _cmd_montecarlo(args) -> int:
     scenario = _load_scenario(args.scenario)
+    if any(g != 1.0 for g in scenario.gamma):
+        raise _UsageError("montecarlo redraws the gains and applies no gamma; set every gamma to 1")
     seed = args.seed
     env_seed = os.environ.get("FHTP_SEED")
     if env_seed is not None:
@@ -344,6 +354,9 @@ def main(argv=None) -> int:
     except (SizeLimitError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except ValueError as exc:  # bad flag values (negative caps, trials, ...)
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,4 +10,4 @@ class SizeLimitError(RuntimeError):
 
 
 class InfeasibleError(RuntimeError):
-    """Demanded traffic can never be served (a pair has no positive power level)."""
+    """Demanded traffic can never be served (a pair cannot transmit at a positive rate)."""

@@ -84,9 +84,22 @@ def _target_backlog(channel: ChannelModel, mu, horizon: int) -> tuple[np.ndarray
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
+    if mu.shape != (channel.num_pairs,):
+        raise ValueError(f"target rate has shape {mu.shape}, expected ({channel.num_pairs},)")
+    # in Python floats, so an overflow gives inf instead of a NumPy warning
+    rates = mu.tolist()
+    if not all(map(math.isfinite, rates)):
+        raise ValueError("target rate must be finite")
+    if min(rates) < 0:
         raise ValueError("target rate must be componentwise nonnegative")
-    return mu, channel.slot_duration * horizon * mu
+    try:
+        span = float(channel.slot_duration * horizon)
+    except OverflowError:  # a horizon too large for a float
+        span = math.inf
+    backlog = [span * r for r in rates]
+    if not all(map(math.isfinite, backlog)):
+        raise ValueError("target rate gives a backlog slot_duration * horizon * rate that overflows")
+    return mu, np.array(backlog)
 
 
 def derive_policy(solution: Solution, horizon: int, channel: ChannelModel, mu) -> Policy:
@@ -115,12 +128,7 @@ def derive_policy(solution: Solution, horizon: int, channel: ChannelModel, mu) -
     )
 
 
-def verify_policy(
-    channel: ChannelModel,
-    policy: Policy,
-    rel_tol: float = AVERAGE_RTOL,
-    capacity_slack: float = CAPACITY_SLACK,
-) -> VerificationReport:
+def verify_policy(channel: ChannelModel, policy: Policy) -> VerificationReport:
     """Check a policy against its contract and report the first violation.
 
     Checks, in order: one slot per step of a horizon of at least 1, one
@@ -129,7 +137,7 @@ def verify_policy(
     set; then every target component being finite, every slot rate within
     the capacity of its power vector (plus a small absolute slack for
     subtraction chains), the average rate matching the target to
-    ``rel_tol``, and slot rates being nonnegative.
+    ``AVERAGE_RTOL``, and slot rates being nonnegative.
     """
     n = channel.num_pairs
     if policy.horizon < 1 or len(policy.pairs) != policy.horizon:
@@ -175,7 +183,7 @@ def verify_policy(
     caps = channel.capacity_matrix([power for _, power in policy.pairs])
     for t, ((rate, _), cap) in enumerate(zip(policy.pairs, caps)):
         for j in range(n):
-            if rate[j] > cap[j] + capacity_slack:
+            if rate[j] > cap[j] + CAPACITY_SLACK:
                 return VerificationReport(
                     ok=False,
                     check="capacity",
@@ -185,7 +193,7 @@ def verify_policy(
                 )
     avg = policy.average_rate()
     for j in range(n):
-        tol = rel_tol * max(1.0, abs(policy.target[j]))
+        tol = AVERAGE_RTOL * max(1.0, abs(policy.target[j]))
         if abs(avg[j] - policy.target[j]) > tol:
             return VerificationReport(
                 ok=False,

@@ -22,7 +22,7 @@ from .errors import SizeLimitError
 # build grows as K^2. With nearly all K vectors on the frontier it takes about
 # 0.6 s at K = 8192 (13 pairs) and 1.0 s at K = 12800 (9 pairs) on a 2-CPU
 # x86 machine; the cap stops enumeration there rather than minutes later.
-DEFAULT_ENUMERATION_CAP = 10_000
+ENUMERATION_CAP = 10_000
 
 
 class CapacityPoint(NamedTuple):
@@ -47,12 +47,12 @@ class RefinedPowerSet:
         return tuple(e.power for e in self.entries)
 
 
-def enumerate_power_vectors(channel: ChannelModel, cap: int = DEFAULT_ENUMERATION_CAP) -> list[PowerVector]:
+def enumerate_power_vectors(channel: ChannelModel) -> list[PowerVector]:
     """All joint power choices, in lexicographic order over the sorted level sets."""
     total = math.prod(len(s) for s in channel.power_sets)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"power-vector set has {total} elements, above the enumeration cap {cap}"
+            f"power-vector set has {total} elements, above the enumeration cap {ENUMERATION_CAP}"
         )
     return list(itertools.product(*channel.power_sets))
 
@@ -154,21 +154,21 @@ def pareto_frontier(points: Sequence) -> list:
     return [points[i] for i in np.sort(keep).tolist()]
 
 
-def capacity_set(channel: ChannelModel, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CapacityPoint]:
+def capacity_set(channel: ChannelModel) -> list[CapacityPoint]:
     """Every power vector paired with its one-slot capacity vector."""
-    powers = enumerate_power_vectors(channel, cap)
+    powers = enumerate_power_vectors(channel)
     rates = channel.capacity_matrix(powers).tolist()
     return [CapacityPoint(power=s, rate=tuple(r)) for s, r in zip(powers, rates)]
 
 
-def refined_power_set(channel: ChannelModel, cap: int = DEFAULT_ENUMERATION_CAP) -> RefinedPowerSet:
+def refined_power_set(channel: ChannelModel) -> RefinedPowerSet:
     """The power vectors backing the Pareto frontier of the one-slot capacity set.
 
     When several power vectors produce the same frontier capacity vector, the
     one with the smallest total transmit power is kept (lexicographic order
     breaks remaining ties, for determinism).
     """
-    points = capacity_set(channel, cap)
+    points = capacity_set(channel)
     witness: dict[tuple[float, ...], tuple[float, PowerVector]] = {}
     for p in points:
         key = (sum(p.power), p.power)
@@ -181,7 +181,7 @@ def refined_power_set(channel: ChannelModel, cap: int = DEFAULT_ENUMERATION_CAP)
     )
 
 
-def one_slot_membership(channel: ChannelModel, mu, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def one_slot_membership(channel: ChannelModel, mu) -> bool:
     """Whether rate vector mu is achievable in a single slot."""
     arr = np.asarray(mu, dtype=float)
     if arr.shape != (channel.num_pairs,):
@@ -191,5 +191,5 @@ def one_slot_membership(channel: ChannelModel, mu, cap: int = DEFAULT_ENUMERATIO
     if np.any(arr < 0):
         raise ValueError("rate vector must be componentwise nonnegative")
     target = _key(arr)
-    refined = refined_power_set(channel, cap)
+    refined = refined_power_set(channel)
     return any(all(r >= t for r, t in zip(entry.rate, target)) for entry in refined.entries)

@@ -13,17 +13,20 @@ Field reference (all required unless noted):
   gamma          optional N SNR-gap factors >= 1, divided into the diagonal
                  gains before the channel is built (default: all 1.0)
 
-Every value must be finite, and so must what the model derives from them:
-each received power gains[m][n] * max(power_sets[m]) and its sum at a
-receiver, each peak SINR gains[n][n] * max(power_sets[n]) / noise[n], and
-each backlog slot_duration * horizon * target_rate[n].
+Every number must be finite. This module checks the JSON types and
+shapes, the integer fields, target_rate and gamma, and that each backlog
+slot_duration * horizon * target_rate[n] is a finite float. `ChannelModel`
+checks every other rule on the channel that the scenario builds, with the gap
+factors divided in: the signs of slot_duration, power levels, noise and
+gains, the level 0 in every power set, and finite received powers and peak
+SINRs. Its messages name the field, as in ``noise[1]`` or ``gains[0][0]``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,17 +45,23 @@ class Scenario:
     target_rate: tuple[float, ...]
     gamma: tuple[float, ...]
 
+    _channel: ChannelModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gains = tuple(
+            tuple(g / self.gamma[m] if m == k else g for k, g in enumerate(row))
+            for m, row in enumerate(self.gains)
+        )
+        channel = ChannelModel(
+            gains=gains, noise=self.noise, power_sets=self.power_sets, slot_duration=self.slot_duration
+        )
+        # the model's sorted, deduplicated power sets
+        object.__setattr__(self, "power_sets", channel.power_sets)
+        object.__setattr__(self, "_channel", channel)
+
     def channel(self) -> ChannelModel:
         """Channel with the gap factors absorbed into the desired-link gains."""
-        gains = [list(row) for row in self.gains]
-        for n in range(self.num_pairs):
-            gains[n][n] = gains[n][n] / self.gamma[n]
-        return ChannelModel(
-            gains=tuple(tuple(row) for row in gains),
-            noise=self.noise,
-            power_sets=self.power_sets,
-            slot_duration=self.slot_duration,
-        )
+        return self._channel
 
     def initial_queue(self) -> np.ndarray:
         return self.slot_duration * self.horizon * np.asarray(self.target_rate)
@@ -81,45 +90,39 @@ def _positive_int(doc: dict, name: str) -> int:
     return value
 
 
-def _positive_real(doc: dict, name: str) -> float:
-    value = _require(doc, name)
-    if not _is_number(value) or value <= 0:
-        raise ScenarioError(f"{name}: expected a positive finite number, got {value!r}")
-    return float(value)
+def _array(value, name: str, n: int | None) -> list:
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        raise ScenarioError(f"{name}: expected an array" + (f" of {n} entries" if n is not None else ""))
+    return value
 
 
-def _real_vector(doc: dict, name: str, n: int, minimum: float, strict: bool) -> tuple[float, ...]:
-    value = _require(doc, name)
-    if not isinstance(value, list) or len(value) != n:
-        raise ScenarioError(f"{name}: expected an array of {n} numbers")
-    out = []
-    for i, x in enumerate(value):
+def _numbers(value, name: str, n: int | None, minimum: float = -math.inf) -> tuple[float, ...]:
+    """A JSON array of finite numbers, ``n`` of them unless None, each >= ``minimum``."""
+    for i, x in enumerate(_array(value, name, n)):
         if not _is_number(x):
             raise ScenarioError(f"{name}[{i}]: expected a finite number, got {x!r}")
-        if x < minimum or (strict and x == minimum):
-            bound = f"> {minimum}" if strict else f">= {minimum}"
-            raise ScenarioError(f"{name}[{i}]: must be {bound}, got {x!r}")
-        out.append(float(x))
-    return tuple(out)
+        if x < minimum:
+            raise ScenarioError(f"{name}[{i}]: must be >= {minimum}, got {x!r}")
+    return tuple(float(x) for x in value)
 
 
-def _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, gamma, target) -> None:
-    """Reject finite inputs whose received powers, peak SINRs or backlogs overflow a float.
+def scenario_from_dict(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    n = _positive_int(doc, "num_pairs")
+    horizon = _positive_int(doc, "horizon")
+    slot_duration = _require(doc, "slot_duration")
+    if not _is_number(slot_duration):
+        raise ScenarioError(f"slot_duration: expected a finite number, got {slot_duration!r}")
+    slot_duration = float(slot_duration)
+    power_sets = tuple(
+        _numbers(s, f"power_sets[{i}]", None) for i, s in enumerate(_array(_require(doc, "power_sets"), "power_sets", n))
+    )
+    noise = _numbers(_require(doc, "noise"), "noise", n)
+    gains = tuple(_numbers(row, f"gains[{m}]", n) for m, row in enumerate(_array(_require(doc, "gains"), "gains", n)))
+    target = _numbers(_require(doc, "target_rate"), "target_rate", n, minimum=0.0)
+    gamma = _numbers(doc["gamma"], "gamma", n, minimum=1.0) if "gamma" in doc else (1.0,) * n
 
-    The powers are those of the channel the scenario builds, whose desired-link
-    gains have the gap factors divided in; a gain that underflows to 0 there
-    is rejected too.
-    """
-    for r in range(n):
-        desired = gains[r][r] / gamma[r]
-        if desired == 0.0:
-            raise ScenarioError(f"gains[{r}][{r}] / gamma[{r}]: desired-link gain underflows to 0")
-        # the terms are nonnegative, so the sum overflows if any of them does
-        received = sum((desired if m == r else gains[m][r]) * power_sets[m][-1] for m in range(n))
-        if not math.isfinite(received):
-            raise ScenarioError(f"received power at receiver {r} overflows")
-        if not math.isfinite(desired * power_sets[r][-1] / noise[r]):
-            raise ScenarioError(f"peak SINR of pair {r} overflows")
     try:
         span = slot_duration * horizon
     except OverflowError:  # a horizon too large for a float
@@ -128,71 +131,16 @@ def _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, gamma, 
         if not math.isfinite(span * rate):
             raise ScenarioError(f"target_rate[{j}]: backlog slot_duration * horizon * rate overflows")
 
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    n = _positive_int(doc, "num_pairs")
-    horizon = _positive_int(doc, "horizon")
-    slot_duration = _positive_real(doc, "slot_duration")
-
-    raw_sets = _require(doc, "power_sets")
-    if not isinstance(raw_sets, list) or len(raw_sets) != n:
-        raise ScenarioError(f"power_sets: expected {n} arrays")
-    power_sets = []
-    for i, levels in enumerate(raw_sets):
-        if not isinstance(levels, list) or not levels:
-            raise ScenarioError(f"power_sets[{i}]: expected a nonempty array")
-        for k, p in enumerate(levels):
-            if not _is_number(p) or p < 0:
-                raise ScenarioError(f"power_sets[{i}][{k}]: must be finite and >= 0, got {p!r}")
-        levels = tuple(sorted({float(p) for p in levels}))
-        if 0.0 not in levels:
-            raise ScenarioError(f"power_sets[{i}]: must include the level 0")
-        power_sets.append(levels)
-
-    noise = _real_vector(doc, "noise", n, 0.0, strict=True)
-
-    raw_gains = _require(doc, "gains")
-    if not isinstance(raw_gains, list) or len(raw_gains) != n:
-        raise ScenarioError(f"gains: expected {n} rows, got {len(raw_gains) if isinstance(raw_gains, list) else type(raw_gains).__name__}")
-    gains = []
-    for m, row in enumerate(raw_gains):
-        if not isinstance(row, list) or len(row) != n:
-            raise ScenarioError(f"gains[{m}]: expected {n} entries, got {len(row) if isinstance(row, list) else type(row).__name__}")
-        for k, g in enumerate(row):
-            if not _is_number(g) or g < 0:
-                raise ScenarioError(f"gains[{m}][{k}]: must be finite and >= 0, got {g!r}")
-        gains.append(tuple(float(g) for g in row))
-    for m in range(n):
-        if gains[m][m] <= 0:
-            raise ScenarioError(f"gains[{m}][{m}]: desired-link gain must be > 0")
-
-    target = _real_vector(doc, "target_rate", n, 0.0, strict=False)
-
-    if "gamma" in doc:
-        gamma = _real_vector(doc, "gamma", n, 1.0, strict=False)
-    else:
-        gamma = (1.0,) * n
-
-    _check_overflow(n, horizon, slot_duration, power_sets, noise, gains, gamma, target)
-
-    return Scenario(
-        num_pairs=n,
-        horizon=horizon,
-        slot_duration=slot_duration,
-        power_sets=tuple(power_sets),
-        noise=noise,
-        gains=tuple(gains),
-        target_rate=target,
-        gamma=gamma,
-    )
+    try:
+        return Scenario(n, horizon, slot_duration, power_sets, noise, gains, target, gamma)
+    except ValueError as exc:  # a channel rule, checked by ChannelModel
+        raise ScenarioError(str(exc)) from None
 
 
 def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ScenarioError(f"invalid JSON: {exc}") from None
     return scenario_from_dict(doc)
 

@@ -68,9 +68,10 @@ def queue_update(q, c, tau: float) -> np.ndarray:
 def _peak_drains(channel: ChannelModel, q: np.ndarray, eps: float) -> np.ndarray:
     """Most of each pair's backlog one slot can drain, tau * interference_free_rate(n).
 
-    ``inf`` for a pair with no positive power level, so that `_slots_left`
-    ignores it. Raises InfeasibleError if such a pair holds backlog above
-    ``eps``: that queue can never drain.
+    ``inf`` for a pair whose peak rate is 0 (no positive power level, or a
+    rate that rounds to 0), so that `_slots_left` ignores it. Raises
+    InfeasibleError if such a pair holds backlog above ``eps``: that queue
+    can never drain.
     """
     den = np.array([
         channel.slot_duration * channel.interference_free_rate(n) if channel.max_power(n) > 0.0 else 0.0
@@ -80,7 +81,7 @@ def _peak_drains(channel: ChannelModel, q: np.ndarray, eps: float) -> np.ndarray
     blocked = stuck & (q > eps)
     if np.any(blocked):
         n = int(np.argmax(blocked))
-        raise InfeasibleError(f"pair {n} has backlog but no positive power level; queue can never drain")
+        raise InfeasibleError(f"pair {n} has backlog but cannot transmit at a positive rate; queue can never drain")
     den[stuck] = math.inf
     return den
 

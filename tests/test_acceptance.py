@@ -70,7 +70,7 @@ def test_criterion_1_worked_example_reproduction(ex1):
     elapsed = time.perf_counter() - t0
 
     ok = report.achievable and report.p_star == 5 and report.policy is not None
-    verification = verify_policy(ex1, report.policy, rel_tol=1e-6)
+    verification = verify_policy(ex1, report.policy)
     ok = ok and verification.ok
     avg = report.policy.average_rate()
     rel_err = float(np.max(np.abs(avg - 1.0)))

@@ -86,6 +86,12 @@ def test_validation_rejects_bad_models():
         ChannelModel(gains=((1.0,),), noise=(0.1,), power_sets=((0.0, float("inf")),))
     with pytest.raises(ValueError, match="finite"):
         ChannelModel(gains=((1.0,),), noise=(0.1,), power_sets=((0.0, 1.0),), slot_duration=float("nan"))
+    # finite, but a received power overflows a float
+    with pytest.raises(ValueError, match="received power at receiver 0"):
+        ChannelModel(gains=((1.0, 1e308), (1e308, 1.0)), noise=(0.1, 0.1), power_sets=((0, 2), (0, 2)))
+    # finite, but a peak SINR overflows a float
+    with pytest.raises(ValueError, match="peak SINR of pair 0"):
+        ChannelModel(gains=((1e300, 0.2), (0.2, 1.0)), noise=(1e-10, 0.1), power_sets=((0, 2), (0, 2)))
 
 
 @given(

@@ -194,11 +194,33 @@ def test_max_weight_single_pair_within_capacity():
 
 
 @pytest.mark.parametrize(
-    "mu", [[float("inf"), 1.0, 1.0], [float("nan"), 1.0, 1.0], [-1.0, 1.0, 1.0]]
+    "mu",
+    [
+        [float("inf"), 1.0, 1.0],
+        [float("nan"), 1.0, 1.0],
+        [-1.0, 1.0, 1.0],
+        [1e308, 1.0, 1.0],  # finite, but the backlog 3 * 1e308 overflows
+        [1.0, 1.0],
+        [1.0, float("nan"), 1.0],
+    ],
 )
 def test_max_weight_rejects_bad_targets(ex1, mu):
     with pytest.raises(ValueError):
         max_weight_policy(ex1, mu, 3)
+
+
+@pytest.mark.parametrize(
+    "mu, match",
+    [
+        ([1e308, 1.0, 1.0], "target rate gives a backlog .* overflows"),
+        ([1.0, 1.0], r"target rate has shape \(2,\)"),
+        ([1.0, float("nan"), 1.0], "target rate must be finite"),
+    ],
+)
+def test_check_achievability_names_the_bad_target(ex1, mu, match):
+    # the checks run before any multiply, so no overflow warning fires first
+    with pytest.raises(ValueError, match=match):
+        check_achievability(ex1, mu, 5)
 
 
 def test_max_weight_success_implies_achievable(ex1):

@@ -16,6 +16,7 @@ from fhtp import (
     refined_power_set,
     weak_pareto_frontier,
 )
+from fhtp import region
 
 from .conftest import CORPUS_SEED, random_channel
 
@@ -116,9 +117,10 @@ def test_enumeration_mixed_sizes():
     assert len(enumerate_power_vectors(channel)) == 6
 
 
-def test_enumeration_cap(ex1):
+def test_enumeration_cap(ex1, monkeypatch):
+    monkeypatch.setattr(region, "ENUMERATION_CAP", 7)
     with pytest.raises(SizeLimitError, match="8"):
-        enumerate_power_vectors(ex1, cap=7)
+        enumerate_power_vectors(ex1)
 
 
 def test_weak_frontier_keeps_incomparable_points():

@@ -91,6 +91,20 @@ def test_gamma_divides_diagonal():
     assert channel.gains[0][1] == 0.2
 
 
+def test_scenario_builds_its_channel_once():
+    scenario = parse_scenario(EXAMPLE1)
+    assert scenario.channel() is scenario.channel()
+
+
+def test_power_levels_are_sorted_and_deduplicated():
+    doc = json.loads(EXAMPLE1)
+    doc["power_sets"][1] = [2, 0, 1, 2]
+    scenario = parse_scenario(json.dumps(doc))
+    assert scenario.power_sets[1] == (0.0, 1.0, 2.0)
+    assert scenario_to_dict(scenario)["power_sets"][1] == [0.0, 1.0, 2.0]
+    assert scenario.channel().power_sets == scenario.power_sets
+
+
 def test_scenario_round_trip():
     scenario = parse_scenario(EXAMPLE1)
     again = parse_scenario(json.dumps(scenario_to_dict(scenario)))
@@ -157,6 +171,15 @@ def test_cli_region_out_file(tmp_path, capsys):
     assert len(rows) == 8
 
 
+@pytest.mark.parametrize("target", ["missing/region.csv", "."], ids=["missing-parent", "directory"])
+def test_cli_out_unwritable_exits_73(tmp_path, capsys, target):
+    code = main(["region", str(SCENARIO_DIR / "example1.json"), "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 73
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
 def test_cli_oracle(capsys):
     code, out = run_cli(
         capsys, "oracle", str(SCENARIO_DIR / "example1.json"), "--depth-cap", "6"
@@ -185,6 +208,14 @@ def test_cli_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", str(bad)]) == 65
+    for content in (
+        b'{"num_pairs": \xff}',  # not UTF-8
+        b'{"num_pairs": ' + b"9" * 5000 + b"}",  # past Python's integer digit limit
+        b"[" * 200_000,  # nested deeper than the recursion limit
+    ):
+        bad.write_bytes(content)
+        assert main(["check", str(bad)]) == 65
+        assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 @pytest.mark.parametrize(
@@ -231,6 +262,16 @@ def test_cli_checks_float_range_on_post_gap_gains(tmp_path, capsys, gain, noise,
     scenario = tmp_path / "gap.json"
     scenario.write_text(json.dumps(doc))
     assert main(["check", str(scenario)]) == code
+
+
+def test_peak_rate_rounding_to_zero_names_the_cause(tmp_path, capsys):
+    # a positive power level, but log2(1 + 2e-299) is 0.0: the pair cannot send
+    doc = json.loads(EXAMPLE1)
+    doc["gains"][0][0] = 1e-300
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 70
+    assert "pair 0 has backlog but cannot transmit at a positive rate" in capsys.readouterr().err
 
 
 def test_short_horizon_does_not_trip_the_search_guard(tmp_path, capsys):
@@ -309,6 +350,18 @@ def test_cli_montecarlo_csv(capsys):
         assert int(r["solved"]) + int(r["unachievable"]) + int(r["failed"]) == 20
         assert float(r["achievable_fraction"]) == pytest.approx(int(r["solved"]) / 20, rel=1e-5)
         assert int(r["max_refined_size"]) > 0
+
+
+def test_cli_montecarlo_rejects_gamma(tmp_path, capsys):
+    # the sweep redraws every gain and has no gap factor to divide in
+    doc = json.loads(EXAMPLE1)
+    doc["gamma"] = [4.0, 1.0, 1.0]
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    assert main(["montecarlo", str(path), "--m", "1", "--trials", "2"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma" in captured.err
 
 
 def test_cli_montecarlo_env_seed_override(capsys, monkeypatch):
