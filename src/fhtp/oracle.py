@@ -27,8 +27,10 @@ class OracleResult:
 
 def _action_table(channel: ChannelModel, use_refined: bool):
     tau = channel.slot_duration
-    points = refined_power_set(channel).entries if use_refined else capacity_set(channel)
-    return [(p.power, tuple(tau * r for r in p.rate)) for p in points]
+    if use_refined:
+        refined = refined_power_set(channel)
+        return [(e.power, drain) for e, drain in zip(refined, (tau * refined.rates).tolist())]
+    return [(p.power, tuple(tau * r for r in p.rate)) for p in capacity_set(channel)]
 
 
 def brute_force_min_time(

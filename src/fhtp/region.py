@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,19 +32,30 @@ class CapacityPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class RefinedPowerSet:
-    """Power vectors whose capacity vectors are Pareto-optimal for one slot."""
+    """Power vectors whose capacity vectors are Pareto-optimal for one slot.
 
-    entries: tuple[CapacityPoint, ...]
+    ``powers`` and ``rates`` are read-only F x N float arrays: row f holds
+    the power vector and the one-slot capacity vector of ``entries[f]``.
+    Equality and hashing use ``entries`` alone.
+    """
+
+    powers: np.ndarray = field(compare=False, repr=False)
+    rates: np.ndarray = field(compare=False, repr=False)
+    entries: tuple[CapacityPoint, ...] = field(init=False)
+
+    def __post_init__(self):
+        for name in ("powers", "rates"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+        entries = tuple(map(CapacityPoint, map(tuple, self.powers.tolist()), map(tuple, self.rates.tolist())))
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    @property
-    def powers(self) -> tuple[PowerVector, ...]:
-        return tuple(e.power for e in self.entries)
 
 
 def enumerate_power_vectors(channel: ChannelModel) -> list[PowerVector]:
@@ -55,10 +66,6 @@ def enumerate_power_vectors(channel: ChannelModel) -> list[PowerVector]:
             f"power-vector set has {total} elements, above the enumeration cap {ENUMERATION_CAP}"
         )
     return list(itertools.product(*channel.power_sets))
-
-
-def _key(point) -> tuple[float, ...]:
-    return tuple(float(x) for x in point)
 
 
 # rows per side of one dominance tile; a tile's temporaries are
@@ -125,6 +132,24 @@ def _dominated(rows: np.ndarray, strict: bool) -> np.ndarray:
     return out
 
 
+def _frontier_runs(rows: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of equal rows in `_dominance_order`, and which are on the frontier.
+
+    Returns ``(order, bounds, kept)``: ``order`` is `_dominance_order(rows)`,
+    run r is ``order[bounds[r]:bounds[r + 1]]`` (equal rows, in input order),
+    and ``kept[r]`` says that no row beats run r. With ``strict`` a row beats
+    another when it is larger in every coordinate, so equal rows never beat
+    each other and a run is kept or dropped whole; otherwise it beats any
+    other row that it is >= in every coordinate.
+    """
+    order = _dominance_order(rows)
+    ranked = rows[order]
+    change = np.ones(len(order) + 1, dtype=bool)
+    change[1:-1] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    bounds = np.flatnonzero(change)
+    return order, bounds, ~_dominated(ranked[bounds[:-1]], strict)
+
+
 def weak_pareto_frontier(points: Sequence) -> list:
     """Points not strictly exceeded in every component by another point.
 
@@ -132,9 +157,8 @@ def weak_pareto_frontier(points: Sequence) -> list:
     exact (no epsilon), since the capacity values feeding this are
     deterministic functions of the channel.
     """
-    rows = _rows(points, "weak_pareto_frontier")
-    order = _dominance_order(rows)
-    keep = order[~_dominated(rows[order], strict=True)]
+    order, bounds, kept = _frontier_runs(_rows(points, "weak_pareto_frontier"), strict=True)
+    keep = order[np.repeat(kept, np.diff(bounds))]
     return [points[i] for i in np.sort(keep).tolist()]
 
 
@@ -144,14 +168,8 @@ def pareto_frontier(points: Sequence) -> list:
     Exact duplicates collapse to their first occurrence. The result is always
     a subset of the weak frontier of the same input.
     """
-    rows = _rows(points, "pareto_frontier")
-    order = _dominance_order(rows)
-    ranked = rows[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    reps = order[first]
-    keep = reps[~_dominated(ranked[first], strict=False)]
-    return [points[i] for i in np.sort(keep).tolist()]
+    order, bounds, kept = _frontier_runs(_rows(points, "pareto_frontier"), strict=False)
+    return [points[i] for i in np.sort(order[bounds[:-1][kept]]).tolist()]
 
 
 def capacity_set(channel: ChannelModel) -> list[CapacityPoint]:
@@ -164,21 +182,23 @@ def capacity_set(channel: ChannelModel) -> list[CapacityPoint]:
 def refined_power_set(channel: ChannelModel) -> RefinedPowerSet:
     """The power vectors backing the Pareto frontier of the one-slot capacity set.
 
-    When several power vectors produce the same frontier capacity vector, the
-    one with the smallest total transmit power is kept (lexicographic order
-    breaks remaining ties, for determinism).
+    Entries follow the enumeration order of each frontier capacity vector's
+    first power vector. When several power vectors produce the same frontier
+    capacity vector, the one with the smallest total transmit power is kept
+    (lexicographic order breaks remaining ties, for determinism).
     """
-    points = capacity_set(channel)
-    witness: dict[tuple[float, ...], tuple[float, PowerVector]] = {}
-    for p in points:
-        key = (sum(p.power), p.power)
-        best = witness.get(p.rate)
-        if best is None or key < best:
-            witness[p.rate] = key
-    frontier = pareto_frontier([p.rate for p in points])
-    return RefinedPowerSet(
-        entries=tuple(CapacityPoint(power=witness[rate][1], rate=rate) for rate in frontier)
-    )
+    vectors = enumerate_power_vectors(channel)
+    powers = np.array(vectors, dtype=float)
+    rates = channel.capacity_matrix(powers)
+    order, bounds, kept = _frontier_runs(rates, strict=False)
+    starts, stops = bounds[:-1][kept], bounds[1:][kept]
+    first = order[starts]  # each run's first power vector in enumeration order
+    witness = first.copy()
+    for r in np.flatnonzero(stops - starts > 1).tolist():
+        run = order[starts[r] : stops[r]].tolist()
+        witness[r] = min(run, key=lambda k: (sum(vectors[k]), vectors[k]))
+    rank = np.argsort(first)
+    return RefinedPowerSet(powers=powers[witness[rank]], rates=rates[first[rank]])
 
 
 def one_slot_membership(channel: ChannelModel, mu) -> bool:
@@ -190,6 +210,4 @@ def one_slot_membership(channel: ChannelModel, mu) -> bool:
         raise ValueError("rate vector must be finite")
     if np.any(arr < 0):
         raise ValueError("rate vector must be componentwise nonnegative")
-    target = _key(arr)
-    refined = refined_power_set(channel)
-    return any(all(r >= t for r, t in zip(entry.rate, target)) for entry in refined.entries)
+    return bool((refined_power_set(channel).rates >= arr).all(axis=1).any())

@@ -196,12 +196,14 @@ def solve(channel: ChannelModel, q0, depth_cap: int | None = None) -> Solution:
     the cap and returns ``p_star=None`` with that f as ``min_f_bound``: a
     certificate that draining q0 needs more than ``depth_cap`` slots.
 
-    A node with at least ``_KERNEL_MIN_CHILDREN`` children computes all their
-    queues and f values in one NumPy pass over the matrix of per-action
-    drains; narrower nodes loop in Python. Both give bitwise-equal queues and
-    f values, so the search is the same either way. A heap entry holds the
-    child's queue and its parent's entry, so the goal's entry chain is the
-    witness.
+    The actions are the rows of the refined set's F x N ``powers`` array,
+    and one slot of action a drains row a of ``drain = slot_duration *
+    rates``. A node with at least ``_KERNEL_MIN_CHILDREN`` children computes
+    all their queues and f values in one NumPy pass over ``drain``; narrower
+    nodes loop in Python over its rows as lists. Both give bitwise-equal
+    queues and f values, so the search is the same either way. A heap entry
+    holds the child's queue and its parent's entry, so the goal's entry chain
+    is the witness.
 
     A search that pops f above ceil(2*h0) + N*max(1, ceil(h0)), with h0 the
     root's bound before rounding, raises SizeLimitError. Serving one pair at a time
@@ -221,12 +223,12 @@ def solve(channel: ChannelModel, q0, depth_cap: int | None = None) -> Solution:
     hard_cap = _runaway_cap(float(_slots_left(q0, den, eps)), channel.num_pairs)
     dens = den.tolist()
 
-    actions = refined_power_set(channel).entries
+    refined = refined_power_set(channel)
+    actions = refined.entries
     num_actions = len(actions)
     stats.refined_size = num_actions
-    tau = channel.slot_duration
-    taucap = [tuple(tau * r for r in e.rate) for e in actions]
-    drain = np.array(taucap)
+    drain = channel.slot_duration * refined.rates
+    taucap = drain.tolist()
 
     # heap entries: (f, -g, counter, queue, parent entry, last action index);
     # a popped entry is the node its children point back to

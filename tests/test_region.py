@@ -165,13 +165,13 @@ def test_example1_capacity_frontier_is_seven_of_eight(ex1):
 def test_refined_set_example1(ex1):
     refined = refined_power_set(ex1)
     assert len(refined) == 7
-    assert (0.0, 0.0, 0.0) not in refined.powers
+    assert [0.0, 0.0, 0.0] not in refined.powers.tolist()
 
 
 def test_refined_set_single_pair_max_power():
     channel = ChannelModel(gains=((0.5,),), noise=(0.1,), power_sets=((0.0, 2.0),))
     refined = refined_power_set(channel)
-    assert refined.powers == ((2.0,),)
+    assert refined.powers.tolist() == [[2.0]]
 
 
 def test_refined_set_excludes_origin_without_cross_interference():
@@ -181,9 +181,9 @@ def test_refined_set_excludes_origin_without_cross_interference():
         power_sets=((0.0, 2.0), (0.0, 2.0)),
     )
     refined = refined_power_set(channel)
-    assert (0.0, 0.0) not in refined.powers
+    assert [0.0, 0.0] not in refined.powers.tolist()
     # no interference: transmitting everything at max dominates all else
-    assert refined.powers == ((2.0, 2.0),)
+    assert refined.powers.tolist() == [[2.0, 2.0]]
 
 
 def test_refined_set_with_mute_pair():
@@ -194,13 +194,13 @@ def test_refined_set_with_mute_pair():
         power_sets=((0.0, 2.0), (0.0,)),
     )
     refined = refined_power_set(channel)
-    assert refined.powers == ((2.0, 0.0),)
+    assert refined.powers.tolist() == [[2.0, 0.0]]
 
 
 def test_refined_set_deterministic(ex1):
     first = refined_power_set(ex1)
     second = refined_power_set(ex1)
-    assert first.powers == second.powers
+    assert first.powers.tolist() == second.powers.tolist()
     assert [e.rate for e in first] == [e.rate for e in second]
 
 
@@ -307,6 +307,54 @@ def test_capacity_matrix_rejects_wrong_shape(ex1):
 def test_refined_set_matches_reference_on_corpus_channels(corpus, ex1, ex2):
     for channel in [ex1, ex2] + [inst.channel for inst in corpus]:
         assert entries_of(refined_power_set(channel)) == reference_refined(channel)
+
+
+def test_refined_set_witness_ties():
+    # pair 1's rate rounds to 0 and it interferes with no one, so its three
+    # levels give equal rate vectors: 27 power vectors, 9 distinct rates
+    channel = ChannelModel(
+        gains=((0.5, 0.0, 0.3), (0.0, 1e-20, 0.0), (0.2, 0.0, 0.7)),
+        noise=(0.1, 1.0, 0.1),
+        power_sets=((0.0, 1.0, 2.0),) * 3,
+    )
+    refined = refined_power_set(channel)
+    assert entries_of(refined) == reference_refined(channel)
+    assert refined.powers.tolist() == [[0, 0, 2], [1, 0, 2], [2, 0, 0], [2, 0, 1], [2, 0, 2]]
+
+
+def test_refined_set_arrays_are_read_only_rows_of_entries(ex1):
+    refined = refined_power_set(ex1)
+    assert refined.powers.shape == refined.rates.shape == (len(refined), ex1.num_pairs)
+    assert refined.powers.tolist() == [list(e.power) for e in refined]
+    assert refined.rates.tolist() == [list(e.rate) for e in refined]
+    for rows in (refined.powers, refined.rates):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+    # the arrays stay out of equality and hashing
+    assert refined == refined_power_set(ex1)
+    assert hash(refined) == hash(refined_power_set(ex1))
+
+
+small_channels = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        lambda diag, cross, noise, levels: ChannelModel(
+            gains=tuple(tuple(diag[m] if m == k else cross[m][k] for k in range(n)) for m in range(n)),
+            noise=tuple(noise),
+            power_sets=tuple((0.0, *s) for s in levels),
+        ),
+        # a desired gain of 1e-20 gives a rate that rounds to exactly 0
+        st.lists(st.sampled_from([1e-20, 0.2, 0.5, 1.0]), min_size=n, max_size=n),
+        st.lists(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3]), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.1, 1.0]), min_size=n, max_size=n),
+        # an empty list is the single-level power set {0}
+        st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0]), max_size=2), min_size=n, max_size=n),
+    )
+)
+
+
+@given(small_channels)
+def test_refined_set_matches_reference_on_small_channels(channel):
+    assert entries_of(refined_power_set(channel)) == reference_refined(channel)
 
 
 @pytest.mark.parametrize("pairs", [5, 6])

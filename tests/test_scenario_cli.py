@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fhtp
-from fhtp import ScenarioError, check_achievability, parse_scenario, scenario_to_dict
+from fhtp import Scenario, ScenarioError, check_achievability, parse_scenario, scenario_to_dict
 from fhtp.cli import main
 
 from .conftest import SCENARIO_DIR
@@ -109,6 +109,70 @@ def test_scenario_round_trip():
     scenario = parse_scenario(EXAMPLE1)
     again = parse_scenario(json.dumps(scenario_to_dict(scenario)))
     assert again == scenario
+
+
+def _example1_fields(**changes) -> dict:
+    fields = dict(
+        num_pairs=3,
+        horizon=5,
+        slot_duration=1.0,
+        power_sets=((0.0, 2.0),) * 3,
+        noise=(0.1, 0.1, 0.1),
+        gains=((0.5, 0.2, 0.2), (0.2, 0.6, 0.2), (0.2, 0.2, 0.7)),
+        target_rate=(1.0, 1.0, 1.0),
+        gamma=(1.0, 1.0, 1.0),
+    )
+    return {**fields, **changes}
+
+
+def test_scenario_built_directly_matches_the_parsed_one():
+    assert Scenario(**_example1_fields()) == parse_scenario(EXAMPLE1)
+
+
+def test_scenario_built_directly_checks_the_scenario_rules():
+    with pytest.raises(ValueError):
+        Scenario(
+            num_pairs=7,
+            horizon=-3,
+            slot_duration=1.0,
+            power_sets=((0, 2),),
+            noise=(0.1,),
+            gains=((0.5,),),
+            target_rate=(-1.0, 2.0),
+            gamma=(0.5,),
+        )
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"num_pairs": 4}, "num_pairs"),
+        ({"horizon": 0}, "horizon"),
+        ({"horizon": 2.5}, "horizon"),
+        ({"target_rate": (1.0, 1.0)}, "target_rate"),
+        ({"target_rate": (1.0, float("nan"), 1.0)}, r"target_rate\[1\]"),
+        ({"target_rate": (-1.0, 1.0, 1.0)}, r"target_rate\[0\]"),
+        ({"gamma": (1.0, 1.0)}, "gamma"),
+        ({"gamma": (1.0, float("inf"), 1.0)}, r"gamma\[1\]"),
+        ({"gamma": (0.5, 1.0, 1.0)}, r"gamma\[0\]"),
+        ({"horizon": 10, "target_rate": (1e308, 1.0, 1.0)}, r"target_rate\[0\].*overflows"),
+    ],
+    ids=[
+        "num-pairs",
+        "horizon-zero",
+        "horizon-float",
+        "target-length",
+        "target-nan",
+        "target-negative",
+        "gamma-length",
+        "gamma-inf",
+        "gamma-below-one",
+        "backlog-overflow",
+    ],
+)
+def test_scenario_built_directly_rejects_each_rule(changes, field):
+    with pytest.raises(ValueError, match=field):
+        Scenario(**_example1_fields(**changes))
 
 
 def test_cli_check_example1(capsys):
@@ -304,6 +368,27 @@ def test_import_does_not_load_process_pools():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(fhtp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_decisions_do_not_load_scipy():
+    # importing scipy adds tens of MB of resident memory, which every
+    # process that makes a decision would pay
+    code = (
+        "import pathlib, sys, fhtp\n"
+        "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+        "    sc = fhtp.parse_scenario(path.read_text())\n"
+        "    channel = sc.channel()\n"
+        "    for cutoff in (False, True):\n"
+        "        report = fhtp.check_achievability(channel, sc.target_rate, sc.horizon, cutoff=cutoff)\n"
+        "        if report.achievable:\n"
+        "            assert fhtp.verify_policy(channel, report.policy).ok\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fhtp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIO_DIR)], capture_output=True, text=True, check=True, env=env
+    )
     assert out.stdout.strip() == "[]"
 
 

@@ -190,7 +190,7 @@ def test_each_action_multiset_generated_once(ex1, ex2):
         s = solution.stats
         assert solution.p_star >= 1
         assert s.generated_nodes + s.pruned_nodes == s.refined_size * (s.expanded_nodes + 1)
-        indices = [refined.powers.index(a) for a in solution.actions]
+        indices = [refined.powers.tolist().index(list(a)) for a in solution.actions]
         assert indices == sorted(indices)
 
 
